@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
   }
   std::vector<std::unique_ptr<ml::Engine>> shard_engines;
   std::vector<std::unique_ptr<server::Server>> shard_servers;
-  sharding::RouterOptions router_options;
+  std::vector<sharding::ShardEndpoint> shard_endpoints;
   for (const std::string& part : *parts) {
     Result<ml::Engine> engine = ml::Engine::FromSource(part);
     if (!engine.ok()) {
@@ -153,11 +153,18 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "shard start: %s\n", s.ToString().c_str());
       return 1;
     }
-    router_options.shards.push_back({"127.0.0.1",
-                                     shard_servers.back()->port()});
+    shard_endpoints.push_back({"127.0.0.1", shard_servers.back()->port()});
   }
-  sharding::Router router(source, router_options);
-  if (Status s = router.Start(); !s.ok()) {
+  Result<std::unique_ptr<sharding::Router>> router =
+      sharding::Router::Open(source, shard_endpoints);
+  if (!router.ok()) {
+    std::fprintf(stderr, "router: %s\n", router.status().ToString().c_str());
+    return 1;
+  }
+  server::ServerOptions router_options;
+  router_options.port = 0;
+  server::Server router_server(router->get(), router_options);
+  if (Status s = router_server.Start(); !s.ok()) {
     std::fprintf(stderr, "router start: %s\n", s.ToString().c_str());
     return 1;
   }
@@ -185,7 +192,7 @@ int main(int argc, char** argv) {
     }
     return client;
   };
-  Result<Client> via_router = connect(router.port(), "s");
+  Result<Client> via_router = connect(router_server.port(), "s");
   Result<Client> via_ref = connect(reference_server.port(), "s");
   if (!via_router.ok() || !via_ref.ok()) {
     std::fprintf(stderr, "connect: %s\n",
@@ -202,7 +209,7 @@ int main(int argc, char** argv) {
   std::vector<double> scatter_ms, scatter_ref_ms;
   const std::string wide_goal = "?- s[doc(K : val -R-> V)] << cau.";
   for (const char* level : kLevels) {
-    Result<Client> a = connect(router.port(), level);
+    Result<Client> a = connect(router_server.port(), level);
     Result<Client> b = connect(reference_server.port(), level);
     if (!a.ok() || !b.ok()) return 1;
     const std::string goal =
@@ -245,7 +252,7 @@ int main(int argc, char** argv) {
 
   // --- Write phase: fresh facts routed to their owners, then the wide
   // answer re-compared (the reference gets the same stream). ----------
-  Result<Client> w_router = connect(router.port(), "c");
+  Result<Client> w_router = connect(router_server.port(), "c");
   Result<Client> w_ref = connect(reference_server.port(), "c");
   if (!w_router.ok() || !w_ref.ok()) return 1;
   for (size_t i = 0; i < writes; ++i) {
@@ -273,8 +280,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  const sharding::RouterCounters counters = router.Counters();
-  router.Stop();
+  const sharding::RouterCounters counters = (*router)->Counters();
+  router_server.Stop();
   for (auto& server : shard_servers) server->Stop();
   reference_server.Stop();
 

@@ -47,7 +47,8 @@ Result<Client> Client::Connect(uint16_t port) {
   return Connect("127.0.0.1", port);
 }
 
-Result<Client> Client::Connect(const std::string& host, uint16_t port) {
+Result<int> DialTcp(const std::string& host, uint16_t port,
+                    bool nonblocking) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -58,11 +59,14 @@ Result<Client> Client::Connect(const std::string& host, uint16_t port) {
         "invalid host '" + host +
         "' (expected an IPv4 address or 'localhost')");
   }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(
+      AF_INET, SOCK_STREAM | SOCK_CLOEXEC | (nonblocking ? SOCK_NONBLOCK : 0),
+      0);
   if (fd < 0) {
     return Status::Internal(std::string("socket: ") + std::strerror(errno));
   }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 &&
+      !(nonblocking && errno == EINPROGRESS)) {
     const Status s = Status::Internal("connect to " + host + ":" +
                                       std::to_string(port) + ": " +
                                       std::strerror(errno));
@@ -73,26 +77,18 @@ Result<Client> Client::Connect(const std::string& host, uint16_t port) {
   // the peer's delayed ACK.
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return fd;
+}
+
+Result<Client> Client::Connect(const std::string& host, uint16_t port) {
+  MULTILOG_ASSIGN_OR_RETURN(const int fd, DialTcp(host, port));
   return Client(fd);
 }
 
 Result<Client> Client::ConnectWithRetry(const std::string& host,
                                         uint16_t port, int attempts,
                                         int64_t backoff_ms) {
-  if (attempts < 1) attempts = 1;
-  Result<Client> last = Status::Internal("no connect attempts made");
-  int64_t delay = backoff_ms;
-  for (int i = 0; i < attempts; ++i) {
-    last = Connect(host, port);
-    // An invalid host never becomes valid; only connection refusals
-    // (daemon still binding) are worth waiting out.
-    if (last.ok() || last.status().IsInvalidArgument()) return last;
-    if (i + 1 < attempts && delay > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(delay));
-      delay = std::min<int64_t>(delay * 2, 2000);
-    }
-  }
-  return last;
+  return ConnectAnyWithRetry({Endpoint{host, port}}, attempts, backoff_ms);
 }
 
 Result<Client> Client::ConnectAnyWithRetry(
@@ -108,8 +104,8 @@ Result<Client> Client::ConnectAnyWithRetry(
     for (const Endpoint& ep : endpoints) {
       last = Connect(ep.host, ep.port);
       if (last.ok()) return last;
-      // An invalid host in the *list* is a configuration error worth
-      // failing fast on, same as ConnectWithRetry's single-host rule.
+      // An invalid host never becomes valid; only connection refusals
+      // (daemon still binding) are worth waiting out.
       if (last.status().IsInvalidArgument()) return last;
     }
     if (round + 1 < attempts && delay > 0) {

@@ -123,6 +123,14 @@ class Client {
   int fd_ = -1;
 };
 
+/// Opens a TCP connection to `host`:`port` (an IPv4 dotted quad or
+/// "localhost", as for Client::Connect) with TCP_NODELAY set. With
+/// `nonblocking` the socket is nonblocking and the call returns while
+/// the connect may still be in progress; its outcome shows on the
+/// socket (writable, or an error).
+Result<int> DialTcp(const std::string& host, uint16_t port,
+                    bool nonblocking = false);
+
 /// Rebuilds a Status from the wire's {"code","error"} pair so callers
 /// can keep using IsDeadlineExceeded(), IsUnavailable() etc. across the
 /// network hop. Unknown codes degrade to kInternal.

@@ -28,13 +28,16 @@
 //       --replica-of 127.0.0.1:7690
 //
 // With --router --shards HOST:PORT,... the daemon is a scatter-gather
-// query router instead of an engine: it speaks the same protocol, but
-// routes each query/write to the hash-owning shard (or scatters wide
-// queries across all of them) - see src/sharding/router.h. The --db /
-// --sample source is parsed for the lattice and the routing analysis
-// only; the shards must have been seeded with the matching per-shard
-// partition of the same source (examples/sharding_demo.sh shows the
-// full flow):
+// query router instead of an engine: the same event loop serves the
+// same protocol, but routes each query/write to the hash-owning shard
+// (or scatters wide queries across all of them) - see
+// src/sharding/router.h. The --db / --sample source is parsed for the
+// lattice and the routing analysis only; the shards must have been
+// seeded with the matching per-shard partition of the same source
+// (examples/sharding_demo.sh shows the full flow). The serving flags
+// (--port, --workers, --max-conns, --max-inflight, --max-request-bytes,
+// --deadline-ms, --mode) apply to a router as to an engine; the flags
+// that configure an engine or its data are refused:
 //
 //   $ multilogd --sample --port 7101 --data-dir /var/lib/ml-shard-0
 //   $ multilogd --sample --port 7102 --data-dir /var/lib/ml-shard-1
@@ -47,6 +50,7 @@
 #include <fstream>
 #include <optional>
 #include <semaphore.h>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -73,7 +77,9 @@ int Usage(const char* argv0) {
       "usage: %s (--db FILE | --sample) [--data-dir DIR] [--port N]\n"
       "          [--replica-of HOST:PORT]  (serve as a read-only replica)\n"
       "          [--router --shards HOST:PORT,...]  (serve as the\n"
-      "                                 scatter-gather router over shards)\n"
+      "                                 scatter-gather router over shards;\n"
+      "                                 takes only the serving flags from\n"
+      "                                 --port to --mode, plus --db/--sample)\n"
       "          [--workers N] [--max-conns N] [--max-inflight N]\n"
       "          [--max-request-bytes N] [--deadline-ms N]\n"
       "          [--mode operational|reduced|check_both]\n"
@@ -96,6 +102,11 @@ int main(int argc, char** argv) {
   bool use_sample = false;
   bool is_replica = false;
   bool is_router = false;
+  // Flags that configure an engine or its data; a router refuses them.
+  const std::set<std::string> engine_only = {
+      "--data-dir",       "--replica-of", "--slow-query-ms",
+      "--no-incremental", "--no-magic",   "--no-group-commit"};
+  const char* engine_flag = nullptr;
   std::vector<server::Endpoint> shard_endpoints;
   server::ServerOptions options;
   ml::EngineOptions engine_options;
@@ -104,6 +115,7 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (engine_only.count(arg) != 0) engine_flag = argv[i];
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
@@ -207,10 +219,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--router and --shards go together\n");
     return Usage(argv[0]);
   }
-  if (is_router && (is_replica || !data_dir.empty())) {
+  if (is_router && engine_flag != nullptr) {
     std::fprintf(stderr,
-                 "--router holds no data: it takes neither --data-dir nor "
-                 "--replica-of\n");
+                 "--router holds no data and runs no engine: it does not "
+                 "take %s\n",
+                 engine_flag);
     return Usage(argv[0]);
   }
 
@@ -237,38 +250,17 @@ int main(int argc, char** argv) {
     source = buf.str();
   }
 
-  if (is_router) {
-    sharding::RouterOptions router_options;
-    router_options.port = options.port;
-    router_options.max_connections = options.max_connections;
-    router_options.max_request_bytes = options.max_request_bytes;
-    router_options.default_deadline_ms = options.default_deadline_ms;
-    router_options.default_mode = options.default_mode;
-    for (const server::Endpoint& ep : shard_endpoints) {
-      router_options.shards.push_back({ep.host, ep.port});
-    }
-    sharding::Router router(source, router_options);
-    if (Status s = router.Start(); !s.ok()) {
-      std::fprintf(stderr, "router: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::printf("multilog-router listening on 127.0.0.1:%u (%zu shards, %s)\n",
-                router.port(), router.shard_map().num_shards(),
-                sharding::kShardHashName);
-    std::fflush(stdout);
-    sem_init(&g_shutdown, 0, 0);
-    std::signal(SIGINT, HandleSignal);
-    std::signal(SIGTERM, HandleSignal);
-    while (sem_wait(&g_shutdown) != 0 && errno == EINTR) {
-    }
-    std::printf("shutting down\n");
-    router.Stop();
-    return 0;
-  }
-
   Result<storage::Storage> storage = Status::Internal("unused");
   Result<ml::Engine> engine = Status::Internal("unused");
-  if (!data_dir.empty()) {
+  Result<std::unique_ptr<sharding::Router>> router =
+      Status::Internal("unused");
+  if (is_router) {
+    router = sharding::Router::Open(source, shard_endpoints);
+    if (!router.ok()) {
+      std::fprintf(stderr, "router: %s\n", router.status().ToString().c_str());
+      return 1;
+    }
+  } else if (!data_dir.empty()) {
     storage = storage::Storage::Open(data_dir, source);
     if (!storage.ok()) {
       std::fprintf(stderr, "storage: %s\n",
@@ -286,7 +278,7 @@ int main(int argc, char** argv) {
   } else {
     engine = ml::Engine::FromSource(source, engine_options);
   }
-  if (!engine.ok()) {
+  if (!is_router && !engine.ok()) {
     std::fprintf(stderr, "database: %s\n", engine.status().ToString().c_str());
     return 1;
   }
@@ -297,23 +289,31 @@ int main(int argc, char** argv) {
   // replaces the facts wholesale on the first snapshot install anyway.
   if (is_replica) options.read_only = true;
 
-  server::Server srv(&*engine, options, std::move(catalog));
+  std::unique_ptr<server::Server> srv =
+      is_router ? std::make_unique<server::Server>(router->get(), options)
+                : std::make_unique<server::Server>(&*engine, options,
+                                                   std::move(catalog));
   std::optional<replication::Replicator> replicator;
   if (is_replica) {
     replicator.emplace(&*engine, replica_options);
-    srv.SetReplicator(&*replicator);
+    srv->SetReplicator(&*replicator);
   }
-  if (Status s = srv.Start(); !s.ok()) {
+  if (Status s = srv->Start(); !s.ok()) {
     std::fprintf(stderr, "start: %s\n", s.ToString().c_str());
     return 1;
   }
   if (replicator.has_value()) replicator->Start();
-  std::printf("multilogd listening on 127.0.0.1:%u (%zu workers, levels:",
-              srv.port(), options.num_workers);
-  for (const std::string& level : engine->lattice().TopologicalOrder()) {
-    std::printf(" %s", level.c_str());
+  if (is_router) {
+    std::printf("multilog-router listening on 127.0.0.1:%u (%zu shards, %s)\n",
+                srv->port(), shard_endpoints.size(), sharding::kShardHashName);
+  } else {
+    std::printf("multilogd listening on 127.0.0.1:%u (%zu workers, levels:",
+                srv->port(), options.num_workers);
+    for (const std::string& level : engine->lattice().TopologicalOrder()) {
+      std::printf(" %s", level.c_str());
+    }
+    std::printf(")\n");
   }
-  std::printf(")\n");
   if (!data_dir.empty()) {
     std::printf("durable: %s (next seqno %llu)\n", data_dir.c_str(),
                 static_cast<unsigned long long>(storage->next_seqno()));
@@ -335,6 +335,6 @@ int main(int argc, char** argv) {
   // sees a quiescent engine; the reverse order would race stream applies
   // against connection teardown for no benefit.
   if (replicator.has_value()) replicator->Stop();
-  srv.Stop();
+  srv->Stop();
   return 0;
 }

@@ -407,4 +407,12 @@ Json OkResponse() {
   return j;
 }
 
+void AppendIntMember(std::string* object, std::string_view key,
+                     int64_t value) {
+  object->pop_back();  // the closing '}'
+  if (object->back() != '{') object->push_back(',');
+  object->append("\"").append(key).append("\":");
+  object->append(std::to_string(value)).push_back('}');
+}
+
 }  // namespace multilog::server

@@ -221,6 +221,12 @@ Json ErrorResponse(const Status& status);
 /// {"ok":true} ready for command-specific members.
 Json OkResponse();
 
+/// Appends `"key":value` to a serialized JSON object: the bytes
+/// Json::Set would add for a new key, without re-parsing the object
+/// (the router splices "shard" and "id" into relayed shard replies).
+void AppendIntMember(std::string* object, std::string_view key,
+                     int64_t value);
+
 }  // namespace multilog::server
 
 #endif  // MULTILOG_SERVER_PROTOCOL_H_

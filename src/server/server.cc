@@ -24,6 +24,7 @@
 #include "msql/executor.h"
 #include "multilog/proof.h"
 #include "replication/log_shipper.h"
+#include "server/client.h"
 
 namespace multilog::server {
 
@@ -177,6 +178,25 @@ struct Server::Task {
   trace::Collector::Clock::time_point t_parsed;
   /// Whether this task holds one of the max_in_flight slots.
   bool admitted = false;
+  /// Routed requests: where the task goes, one reply per target shard,
+  /// and how many replies are still out.
+  sharding::Forward fwd;
+  std::vector<Result<std::string>> replies;
+  size_t pending = 0;
+};
+
+struct Server::Backend {
+  int fd = -1;
+  size_t shard = 0;
+  std::string level;
+  FrameDecoder decoder{kAbsoluteMaxFrameBytes};
+  std::string wbuf;  // request bytes the socket has not taken yet
+  bool want_out = true;
+  /// The hello reply still precedes the first request's reply.
+  bool hello_pending = true;
+  /// The routed request in flight (null while idle) and its reply slot.
+  std::shared_ptr<Task> task;
+  size_t slot = 0;
 };
 
 Server::Server(ml::Engine* engine, ServerOptions options,
@@ -187,6 +207,12 @@ Server::Server(ml::Engine* engine, ServerOptions options,
       catalog_(std::move(catalog)),
       belief_registry_(belief_registry),
       metrics_(engine->lattice().TopologicalOrder()) {}
+
+Server::Server(sharding::Router* router, ServerOptions options)
+    : router_(router),
+      options_(options),
+      metrics_(router->lattice().TopologicalOrder()),
+      idle_backends_(router->shards().size()) {}
 
 Server::~Server() { Stop(); }
 
@@ -344,6 +370,11 @@ void Server::LoopMain() {
     DrainCompletions();
     CheckParked();
   }
+  // Backends die with the loop: a shard that never answers cannot hold
+  // Stop past the drain deadline.
+  for (const auto& entry : backends_) ::close(entry.first);
+  backends_.clear();
+  for (std::vector<Backend*>& idle : idle_backends_) idle.clear();
 }
 
 void Server::BeginDrain() {
@@ -433,7 +464,13 @@ void Server::HandleAccept() {
 
 void Server::HandleEvent(int fd, uint32_t events) {
   auto it = sessions_.find(fd);
-  if (it == sessions_.end()) return;
+  if (it == sessions_.end()) {
+    auto backend = backends_.find(fd);
+    if (backend != backends_.end()) {
+      HandleBackendEvent(backend->second.get(), events);
+    }
+    return;
+  }
   Session* s = it->second.get();
   if ((events & EPOLLOUT) != 0) {
     if (!FlushSession(s)) return;
@@ -452,6 +489,9 @@ void Server::HandleReadable(Session* s) {
     if (n > 0) {
       s->decoder.Feed(buf, static_cast<size_t>(n));
       if (!ProcessFrames(s)) return;
+      // A short read drained the socket; level-triggered epoll reports
+      // anything that arrives later, so skip the EAGAIN probe.
+      if (static_cast<size_t>(n) < sizeof(buf)) break;
       continue;
     }
     if (n == 0) {
@@ -523,6 +563,14 @@ bool Server::ProcessPayload(Session* s, std::string payload) {
   }
   Request req = std::move(*parsed);
   const auto t_parsed = trace::Collector::Clock::now();
+  if (router_ != nullptr && (req.cmd == Request::Cmd::kSql ||
+                             req.cmd == Request::Cmd::kReplicate)) {
+    return QueueResponse(s,
+                         ErrorResponse(Status::InvalidArgument(
+                             "the router does not serve 'sql' or "
+                             "replication streams; connect to a shard")),
+                         req.id);
+  }
 
   switch (req.cmd) {
     case Request::Cmd::kPing: {
@@ -547,7 +595,9 @@ bool Server::ProcessPayload(Session* s, std::string payload) {
                 "session is already bound; reconnect to change clearance")),
             req.id);
       }
-      if (!engine_->lattice().Contains(req.level)) {
+      const lattice::SecurityLattice& lattice =
+          router_ != nullptr ? router_->lattice() : engine_->lattice();
+      if (!lattice.Contains(req.level)) {
         return QueueResponse(s,
                              ErrorResponse(Status::SecurityViolation(
                                  "unknown clearance level '" + req.level +
@@ -566,13 +616,24 @@ bool Server::ProcessPayload(Session* s, std::string payload) {
         s->sql->session.LockUserContext();
       }
       Json resp = OkResponse();
-      resp.Set("server", Json::Str("multilogd"));
+      resp.Set("server",
+               Json::Str(router_ != nullptr ? "multilog-router" : "multilogd"));
       resp.Set("level", Json::Str(s->level));
       resp.Set("mode", Json::Str(ExecModeName(s->mode)));
-      resp.Set("sql", Json::Bool(s->sql != nullptr));
+      if (router_ != nullptr) {
+        resp.Set("shards",
+                 Json::Int(static_cast<int64_t>(router_->shards().size())));
+      } else {
+        resp.Set("sql", Json::Bool(s->sql != nullptr));
+      }
       return QueueResponse(s, std::move(resp), req.id);
     }
     case Request::Cmd::kShardMap: {
+      if (router_ != nullptr) {
+        Json resp = OkResponse();
+        resp.Set("shardmap", router_->ShardMapJson());
+        return QueueResponse(s, std::move(resp), req.id);
+      }
       return QueueResponse(
           s,
           ErrorResponse(Status::InvalidArgument(
@@ -614,8 +675,9 @@ bool Server::ProcessPayload(Session* s, std::string payload) {
       // catches up. A parked query holds no worker and no in-flight
       // slot (the seed burned both in a sleep loop), so queries with
       // satisfied floors keep flowing around it.
-      if (req.cmd == Request::Cmd::kQuery && req.min_seqno > 0 &&
-          engine_->AppliedSeqno() < req.min_seqno) {
+      // (A router forwards min_seqno: the owning shard parks instead.)
+      if (router_ == nullptr && req.cmd == Request::Cmd::kQuery &&
+          req.min_seqno > 0 && engine_->AppliedSeqno() < req.min_seqno) {
         if (req.wait_ms <= 0) {
           metrics_.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
           return QueueResponse(
@@ -643,8 +705,19 @@ bool Server::ProcessPayload(Session* s, std::string payload) {
                                  "flight")),
                              req.id);
       }
+      std::optional<sharding::Forward> fwd;
+      if (router_ != nullptr) {
+        Result<sharding::Forward> routed =
+            router_->Route(req, s->mode, options_.default_deadline_ms);
+        if (!routed.ok()) {
+          in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+          return QueueResponse(s, ErrorResponse(routed.status()), req.id);
+        }
+        fwd = std::move(routed).value();
+      }
       s->in_flight += 1;
-      DispatchTask(s, std::move(req), t_read, t_parsed, /*admitted=*/true);
+      DispatchTask(s, std::move(req), t_read, t_parsed, /*admitted=*/true,
+                   std::move(fwd));
       return true;
     }
   }
@@ -654,7 +727,8 @@ bool Server::ProcessPayload(Session* s, std::string payload) {
 void Server::DispatchTask(Session* s, Request req,
                           trace::Collector::Clock::time_point t_read,
                           trace::Collector::Clock::time_point t_parsed,
-                          bool admitted) {
+                          bool admitted,
+                          std::optional<sharding::Forward> fwd) {
   auto task = std::make_shared<Task>();
   task->fd = s->fd;
   task->gen = s->gen;
@@ -665,6 +739,10 @@ void Server::DispatchTask(Session* s, Request req,
   task->t_read = t_read;
   task->t_parsed = t_parsed;
   task->admitted = admitted;
+  if (fwd.has_value()) {
+    task->fwd = std::move(*fwd);
+    return ForwardTask(task);
+  }
   const auto t_submit = trace::Collector::Clock::now();
   pool_->Submit([this, task, t_submit] { RunTask(task, t_submit); });
 }
@@ -680,7 +758,8 @@ void Server::RunTask(const std::shared_ptr<Task>& task,
   // A collector rides along when the client asked for a trace or the
   // slow-query log needs a span tree to attribute time.
   std::optional<trace::Collector> collector;
-  if (req.cmd == Request::Cmd::kQuery &&
+  // A router's point traces are the owner shard's, relayed verbatim.
+  if (req.cmd == Request::Cmd::kQuery && router_ == nullptr &&
       (req.want_trace || options_.slow_query_ms >= 0)) {
     collector.emplace(task->t_read);
     collector->AddLeaf(trace::Stage::kParse, task->t_read, task->t_parsed);
@@ -693,12 +772,6 @@ void Server::RunTask(const std::shared_ptr<Task>& task,
                                                          : nullptr);
     try {
       switch (req.cmd) {
-        case Request::Cmd::kQuery:
-          resp = HandleQuery(*task);
-          break;
-        case Request::Cmd::kSql:
-          resp = HandleSql(*task);
-          break;
         case Request::Cmd::kStats: {
           resp = OkResponse();
           resp.Set("stats", StatsJson());
@@ -711,7 +784,16 @@ void Server::RunTask(const std::shared_ptr<Task>& task,
           break;
         }
         default:
-          resp = HandleWrite(*task);
+          if (router_ != nullptr) {
+            resp = router_->Merge(task->fwd.kind, task->replies, task->level,
+                                  task->t_parsed);
+          } else if (req.cmd == Request::Cmd::kQuery) {
+            resp = HandleQuery(*task);
+          } else if (req.cmd == Request::Cmd::kSql) {
+            resp = HandleSql(*task);
+          } else {
+            resp = HandleWrite(*task);
+          }
           break;
       }
     } catch (const std::exception& e) {
@@ -751,7 +833,8 @@ void Server::RunTask(const std::shared_ptr<Task>& task,
   PostCompletion(task->fd, task->gen, EncodeFrame(resp.Serialize()));
 }
 
-void Server::PostCompletion(int fd, uint64_t gen, std::string frame) {
+void Server::PostCompletion(int fd, uint64_t gen, std::string frame,
+                            bool wake) {
   bool was_empty;
   {
     std::lock_guard<std::mutex> lock(comp_mu_);
@@ -762,47 +845,54 @@ void Server::PostCompletion(int fd, uint64_t gen, std::string frame) {
   // drain; only the empty -> non-empty transition needs the eventfd
   // write. A group-commit cohort finishing together costs one syscall,
   // not one per commit.
-  if (was_empty) WakeLoop();
+  if (was_empty && wake) WakeLoop();
 }
 
 void Server::DrainCompletions() {
+  // Until empty: delivering a batch can resume reading, and a request
+  // read then can post a completion from the loop itself (no wake).
   std::vector<Completion> batch;
-  {
-    std::lock_guard<std::mutex> lock(comp_mu_);
-    batch.swap(completions_);
-  }
-  // Stage every completion into its session's write buffer first, then
-  // flush each touched session once: a pipelined burst completing
-  // together leaves in one send() instead of one per response.
-  std::vector<int> touched;
-  for (Completion& c : batch) {
-    auto it = sessions_.find(c.fd);
-    if (it == sessions_.end() || it->second->gen != c.gen) {
-      continue;  // session died first; the response has no one to go to
+  while (true) {
+    {
+      std::lock_guard<std::mutex> lock(comp_mu_);
+      batch.clear();
+      batch.swap(completions_);
     }
-    Session* s = it->second.get();
-    s->in_flight -= 1;
-    if (s->wbuf_off >= s->wbuf.size()) {
-      s->wbuf.clear();
-      s->wbuf_off = 0;
+    if (batch.empty()) return;
+    // Stage every completion into its session's write buffer first,
+    // then flush each touched session once: a pipelined burst
+    // completing together leaves in one send() instead of one per
+    // response.
+    std::vector<int> touched;
+    for (Completion& c : batch) {
+      auto it = sessions_.find(c.fd);
+      if (it == sessions_.end() || it->second->gen != c.gen) {
+        continue;  // session died first; the response has no one to go to
+      }
+      Session* s = it->second.get();
+      s->in_flight -= 1;
+      if (s->wbuf_off >= s->wbuf.size()) {
+        s->wbuf.clear();
+        s->wbuf_off = 0;
+      }
+      if (std::find(touched.begin(), touched.end(), c.fd) == touched.end()) {
+        touched.push_back(c.fd);
+      }
+      s->wbuf.append(c.payload);
     }
-    if (std::find(touched.begin(), touched.end(), c.fd) == touched.end()) {
-      touched.push_back(c.fd);
+    for (const int fd : touched) {
+      auto it = sessions_.find(fd);
+      if (it == sessions_.end()) continue;
+      Session* s = it->second.get();
+      if (!FlushSession(s)) continue;
+      if (!s->reading_paused &&
+          s->wbuf.size() - s->wbuf_off > options_.max_session_write_buffer) {
+        s->reading_paused = true;
+      }
+      UpdateEpoll(s);
+      if (!ResumeReading(s)) continue;
+      MaybeClose(s);
     }
-    s->wbuf.append(c.payload);
-  }
-  for (const int fd : touched) {
-    auto it = sessions_.find(fd);
-    if (it == sessions_.end()) continue;
-    Session* s = it->second.get();
-    if (!FlushSession(s)) continue;
-    if (!s->reading_paused &&
-        s->wbuf.size() - s->wbuf_off > options_.max_session_write_buffer) {
-      s->reading_paused = true;
-    }
-    UpdateEpoll(s);
-    if (!ResumeReading(s)) continue;
-    MaybeClose(s);
   }
 }
 
@@ -1010,6 +1100,173 @@ void Server::ReapStreamsLocked() {
   }
 }
 
+void Server::ForwardTask(const std::shared_ptr<Task>& task) {
+  const bool relay = task->fwd.kind == sharding::Forward::Kind::kRelay;
+  const size_t n = relay ? 1 : router_->shards().size();
+  task->replies.assign(n, Status::Internal("no reply"));
+  task->pending = n;
+  for (size_t slot = 0; slot < n; ++slot) {
+    Result<Backend*> b = TakeBackend(relay ? task->fwd.shard : slot,
+                                     task->level);
+    if (!b.ok()) {
+      ShardReplied(task, slot, b.status());
+      continue;
+    }
+    (*b)->task = task;
+    (*b)->slot = slot;
+    (*b)->wbuf.append(EncodeFrame(task->fwd.payload));
+    FlushBackend(*b);
+  }
+}
+
+Result<Server::Backend*> Server::TakeBackend(size_t shard,
+                                             const std::string& level) {
+  std::vector<Backend*>& idle = idle_backends_[shard];
+  auto match = std::find_if(idle.begin(), idle.end(),
+                            [&](Backend* b) { return b->level == level; });
+  if (match != idle.end()) {
+    Backend* b = *match;
+    idle.erase(match);
+    return b;
+  }
+  // No more than max_in_flight backends per shard could ever be busy at
+  // once; past that, an idle one of another level makes room, so the
+  // pool never crowds a shard's own connection limit.
+  size_t open = 0;
+  for (const auto& entry : backends_) open += entry.second->shard == shard;
+  if (open >= options_.max_in_flight && !idle.empty()) {
+    DropBackend(idle.front(), Status::Internal("evicted while idle"));
+  }
+  const sharding::ShardEndpoint& ep = router_->shards()[shard];
+  MULTILOG_ASSIGN_OR_RETURN(const int fd,
+                            DialTcp(ep.host, ep.port, /*nonblocking=*/true));
+  auto b = std::make_unique<Backend>();
+  b->fd = fd;
+  b->shard = shard;
+  b->level = level;
+  // The session binding rides ahead of the first request. No mode:
+  // every forwarded query pins its own, so (shard, level) is the key.
+  Json hello = Json::Object();
+  hello.Set("cmd", Json::Str("hello"));
+  hello.Set("level", Json::Str(level));
+  b->wbuf = EncodeFrame(hello.Serialize());
+  epoll_event ev{};
+  ev.events = kReadEvents | EPOLLOUT;
+  ev.data.fd = fd;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+    const Status s =
+        Status::Internal(std::string("epoll_ctl: ") + std::strerror(errno));
+    ::close(fd);
+    return s;
+  }
+  Backend* raw = b.get();
+  backends_[fd] = std::move(b);
+  return raw;
+}
+
+bool Server::FlushBackend(Backend* b) {
+  while (!b->wbuf.empty()) {
+    const ssize_t n = ::send(b->fd, b->wbuf.data(), b->wbuf.size(),
+                             MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (n > 0) {
+      b->wbuf.erase(0, static_cast<size_t>(n));
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    // Also how a refused nonblocking connect surfaces.
+    DropBackend(b, Status::Internal(std::string("send: ") +
+                                    std::strerror(errno)));
+    return false;
+  }
+  const bool want_out = !b->wbuf.empty();
+  if (want_out != b->want_out) {
+    epoll_event ev{};
+    ev.events = kReadEvents | (want_out ? EPOLLOUT : 0u);
+    ev.data.fd = b->fd;
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, b->fd, &ev);
+    b->want_out = want_out;
+  }
+  return true;
+}
+
+void Server::HandleBackendEvent(Backend* b, uint32_t events) {
+  if ((events & EPOLLOUT) != 0 && !FlushBackend(b)) return;
+  if ((events & kReadEvents) == 0) return;
+  // Take everything readable first: a draining shard may send its last
+  // reply and close in one go, and that reply still counts.
+  Status closed;
+  char buf[65536];
+  while (true) {
+    const ssize_t n = ::recv(b->fd, buf, sizeof(buf), MSG_DONTWAIT);
+    if (n > 0) {
+      b->decoder.Feed(buf, static_cast<size_t>(n));
+      if (static_cast<size_t>(n) < sizeof(buf)) break;  // as for sessions
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    closed = Status::Internal(n == 0 ? std::string("connection closed")
+                                     : std::string("recv: ") +
+                                           std::strerror(errno));
+    break;
+  }
+  while (true) {
+    Result<std::optional<std::string>> frame = b->decoder.Next();
+    if (!frame.ok()) return DropBackend(b, frame.status());
+    if (!frame->has_value()) break;
+    std::string payload = std::move(**frame);
+    std::shared_ptr<Task> task = std::move(b->task);
+    const size_t slot = b->slot;
+    if (b->hello_pending) {
+      b->hello_pending = false;
+      Result<Json> hello = Json::Parse(payload);
+      if (hello.ok() && hello->GetBool("ok", false)) {
+        b->task = std::move(task);
+        continue;
+      }
+      // A refused binding (the shard's lattice disagrees) is the
+      // request's answer, and a backend without a clearance is no use.
+      DropBackend(b, Status::Internal("binding refused"));
+      if (task != nullptr) ShardReplied(task, slot, std::move(payload));
+      return;
+    }
+    if (task == nullptr) {
+      return DropBackend(b, Status::Internal("unsolicited reply"));
+    }
+    idle_backends_[b->shard].push_back(b);
+    ShardReplied(task, slot, std::move(payload));
+  }
+  if (!closed.ok()) DropBackend(b, closed);
+}
+
+void Server::DropBackend(Backend* b, const Status& cause) {
+  std::shared_ptr<Task> task = std::move(b->task);
+  const size_t slot = b->slot;
+  std::vector<Backend*>& idle = idle_backends_[b->shard];
+  idle.erase(std::remove(idle.begin(), idle.end(), b), idle.end());
+  const int fd = b->fd;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+  ::close(fd);
+  backends_.erase(fd);  // frees b
+  if (task != nullptr) ShardReplied(task, slot, cause);
+}
+
+void Server::ShardReplied(const std::shared_ptr<Task>& task, size_t slot,
+                          Result<std::string> reply) {
+  task->replies[slot] = std::move(reply);
+  if (--task->pending > 0) return;
+  if (task->fwd.kind != sharding::Forward::Kind::kRelay) {
+    const auto t_submit = trace::Collector::Clock::now();
+    pool_->Submit([this, task, t_submit] { RunTask(task, t_submit); });
+    return;
+  }
+  std::string payload = router_->Relay(task->fwd.shard, task->replies[0]);
+  if (task->req.id.has_value()) AppendIntMember(&payload, "id", *task->req.id);
+  if (task->admitted) in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+  PostCompletion(task->fd, task->gen, EncodeFrame(payload), /*wake=*/false);
+}
+
 void Server::CloseSession(Session* s) {
   const int fd = s->fd;
   if (s->in_epoll) ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
@@ -1165,6 +1422,11 @@ Json Server::HandleSql(const Task& task) {
 }
 
 Json Server::StatsJson() {
+  if (router_ != nullptr) {
+    return router_->StatsJson(
+        metrics_.connections_open.load(std::memory_order_relaxed),
+        metrics_.requests_total.load(std::memory_order_relaxed));
+  }
   Json root = metrics_.ToJson();
   root.Set("in_flight",
            Json::Int(static_cast<int64_t>(
@@ -1247,6 +1509,11 @@ Json Server::StatsJson() {
 }
 
 std::string Server::MetricsText() {
+  if (router_ != nullptr) {
+    return router_->MetricsText(
+        metrics_.connections_open.load(std::memory_order_relaxed),
+        metrics_.requests_total.load(std::memory_order_relaxed));
+  }
   std::string out = metrics_.PrometheusText();
   auto counter = [&out](const char* name, const char* help, uint64_t value,
                         const char* type = "counter") {

@@ -22,6 +22,7 @@
 #include "replication/replicator.h"
 #include "server/metrics.h"
 #include "server/protocol.h"
+#include "sharding/router.h"
 
 namespace multilog::server {
 
@@ -70,7 +71,8 @@ struct ServerOptions {
   /// written to the slow-query log (level, mode, wall time, dominant
   /// stage, goal). 0 logs every query; -1 disables the log. Enabling it
   /// also makes every query collect a span tree, whether or not the
-  /// client asked for one.
+  /// client asked for one. Engine daemons only: a router has no span
+  /// tree of its own to attribute time to.
   int64_t slow_query_ms = -1;
 
   /// Destination of the slow-query log; nullptr means stderr. Must
@@ -145,6 +147,19 @@ struct SqlCatalogEntry {
 /// responses flush (bounded by `drain_deadline_ms`), sessions close,
 /// and the loop, replication stream threads, and pool are joined
 /// before Stop returns.
+///
+/// ## Serving a router
+///
+/// Constructed over a sharding::Router instead of an engine, the same
+/// loop serves `multilogd --router`: client sessions, admission,
+/// pipelining, backpressure, and the drain are unchanged, and a routed
+/// request is forwarded to shard backends - nonblocking loop-owned
+/// connections with one request in flight each, pooled per (shard,
+/// level), dialed on demand, at most `max_in_flight` per shard. A
+/// relay's reply is spliced and delivered on the loop; a fan-out's N
+/// replies are merged by one pool task. A failed dial or a broken
+/// backend fails its request with kUnavailable naming the shard; the
+/// next request redials.
 class Server {
  public:
   /// `engine` must be non-null and outlive the server. `catalog` lists
@@ -152,6 +167,9 @@ class Server {
   Server(ml::Engine* engine, ServerOptions options,
          std::vector<SqlCatalogEntry> catalog = {},
          const mls::BeliefModeRegistry* belief_registry = nullptr);
+  /// Serves `router` (which must outlive the server) as multilogd
+  /// --router: queries and writes go to its shards.
+  Server(sharding::Router* router, ServerOptions options);
   ~Server();
 
   Server(const Server&) = delete;
@@ -207,6 +225,10 @@ class Server {
   /// mid-execution.
   struct Task;
 
+  /// A loop-owned connection to one shard, hello'd at `level`, carrying
+  /// at most one routed request.
+  struct Backend;
+
   /// A replication stream: the fd handed off from a session, served by
   /// a dedicated thread (an open-ended stream must not occupy a pool
   /// worker or the loop). Reaped when done; joined at Stop.
@@ -250,13 +272,18 @@ class Server {
   void CloseSession(Session* s);
   /// Snapshots session state into a Task and submits it to the pool.
   /// `admitted` tasks hold an in-flight slot they release on exit.
+  /// A routed task (`fwd` set) goes to its shards instead.
   void DispatchTask(Session* s, Request req,
                     trace::Collector::Clock::time_point t_read,
                     trace::Collector::Clock::time_point t_parsed,
-                    bool admitted);
+                    bool admitted,
+                    std::optional<sharding::Forward> fwd = std::nullopt);
   void RunTask(const std::shared_ptr<Task>& task,
                trace::Collector::Clock::time_point t_submit);
-  void PostCompletion(int fd, uint64_t gen, std::string frame);
+  /// `wake` is false when the loop itself posts: it drains before it
+  /// next waits.
+  void PostCompletion(int fd, uint64_t gen, std::string frame,
+                      bool wake = true);
   void DrainCompletions();
   /// Re-checks parked min_seqno queries against the applied seqno and
   /// their give-up deadlines.
@@ -272,6 +299,21 @@ class Server {
   /// keeps it alive (peer gone / closing / draining, nothing in
   /// flight, nothing buffered). Returns false when it closed.
   bool MaybeClose(Session* s);
+
+  // --- router backends (loop-owned) --------------------------------
+  /// Sends a routed task's forward to its target shard(s).
+  void ForwardTask(const std::shared_ptr<Task>& task);
+  /// An idle backend for (shard, level), or a freshly dialed one.
+  Result<Backend*> TakeBackend(size_t shard, const std::string& level);
+  void HandleBackendEvent(Backend* b, uint32_t events);
+  /// Returns false when the backend failed (and is gone).
+  bool FlushBackend(Backend* b);
+  /// Closes and frees `b`, failing its request (if any) with `cause`.
+  void DropBackend(Backend* b, const Status& cause);
+  /// Records one shard's reply; the last one completes the task - a
+  /// relay on the loop, a fan-out's merge on the pool.
+  void ShardReplied(const std::shared_ptr<Task>& task, size_t slot,
+                    Result<std::string> reply);
 
   // --- worker-side handlers (copies in Task keep them session-safe) --
   Json HandleQuery(const Task& task);
@@ -294,10 +336,11 @@ class Server {
   /// goal) to options_.slow_query_log (stderr when unset).
   void LogSlowQuery(const Task& task, const trace::SpanNode& root);
 
-  ml::Engine* engine_;
+  ml::Engine* engine_ = nullptr;
+  sharding::Router* router_ = nullptr;
   ServerOptions options_;
   std::vector<SqlCatalogEntry> catalog_;
-  const mls::BeliefModeRegistry* belief_registry_;
+  const mls::BeliefModeRegistry* belief_registry_ = nullptr;
   const replication::Replicator* replicator_ = nullptr;
   ServerMetrics metrics_;
   std::atomic<uint64_t> replication_streams_{0};  // served as the primary
@@ -322,6 +365,10 @@ class Server {
   /// Set once the loop observes stopping_ and begins its drain.
   bool draining_ = false;
   std::chrono::steady_clock::time_point drain_deadline_{};
+
+  /// Router backends by fd, and the idle ones by shard.
+  std::unordered_map<int, std::unique_ptr<Backend>> backends_;
+  std::vector<std::vector<Backend*>> idle_backends_;
 
   std::mutex comp_mu_;
   std::vector<Completion> completions_;  // workers push, loop drains

@@ -2,18 +2,15 @@
 #define MULTILOG_SHARDING_ROUTER_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/result.h"
 #include "lattice/lattice.h"
-#include "multilog/database.h"
 #include "multilog/engine.h"
-#include "server/client.h"
 #include "server/protocol.h"
 #include "sharding/routing.h"
 #include "sharding/shard_map.h"
@@ -21,30 +18,10 @@
 namespace multilog::sharding {
 
 /// One engine shard the router fans out to.
-struct ShardEndpoint {
-  std::string host = "127.0.0.1";
-  uint16_t port = 0;
-};
-
-struct RouterOptions {
-  /// TCP port to bind on 127.0.0.1; 0 picks an ephemeral port.
-  uint16_t port = 0;
-  size_t max_connections = 64;
-  size_t max_request_bytes = 1u << 20;  // 1 MiB
-  /// Deadline forwarded to shards for queries that carry none; 0 = none.
-  int64_t default_deadline_ms = 0;
-  ml::ExecMode default_mode = ml::ExecMode::kReduced;
-  /// The shard fleet, indexed by shard id (ShardMap::ShardOfKey).
-  std::vector<ShardEndpoint> shards;
-  /// Backend dial policy (a shard restart is survivable: the dead
-  /// backend is dropped and redialed on the next request that needs it).
-  int connect_attempts = 10;
-  int64_t connect_backoff_ms = 50;
-};
+using ShardEndpoint = server::Endpoint;
 
 /// Observability snapshot for the router's stats/metrics surface.
 struct RouterCounters {
-  uint64_t requests_total = 0;
   uint64_t point_queries = 0;
   uint64_t scatter_queries = 0;
   uint64_t anywhere_queries = 0;
@@ -54,14 +31,30 @@ struct RouterCounters {
   uint64_t shard_errors = 0;  // transport failures talking to shards
 };
 
+/// Where a routed request goes and what is sent there.
+struct Forward {
+  enum class Kind {
+    kRelay,       // one shard; its reply is relayed verbatim
+    kScatter,     // every shard; the replies are merged
+    kCheckpoint,  // every shard; all must succeed
+  };
+  Kind kind = Kind::kRelay;
+  size_t shard = 0;     // kRelay: the target
+  std::string payload;  // the forwarded request, serialized
+};
+
 /// # multilog-router: the scatter-gather query layer over N shards
 ///
-/// Speaks the exact multilogd wire protocol (same framing, same
-/// commands, same session rules), so every existing client works
-/// unchanged; `sql` and `replicate` are refused (shards own those).
-/// HELLO binds {clearance, mode} against the *same* database lattice
-/// the shards serve, and the router opens one backend session per
-/// shard, per client session, hello'd at that clearance - the shard
+/// A routing object with no sockets: `multilogd --router` serves it
+/// from the same event loop as an engine (server::Server, DESIGN.md
+/// §17-18), which owns the client sessions and the shard backends. The
+/// router decides where each request goes, builds the request sent
+/// there, and merges what comes back.
+///
+/// Clients see the exact multilogd wire protocol; `sql` and
+/// `replicate` are refused (shards own those). HELLO validates the
+/// clearance against the *same* lattice the shards serve, and every
+/// backend session is hello'd at the client's clearance - the shard
 /// re-enforces per-level visibility exactly as if the client had
 /// connected to it directly, so the router adds no trusted surface.
 ///
@@ -69,13 +62,13 @@ struct RouterCounters {
 ///    its response is relayed verbatim plus a "shard" member: byte-
 ///    identical answers in every mode, because the owner holds the
 ///    key's complete group (see routing.h).
-///  - Wide queries (one shared non-ground key term) scatter to every
-///    shard in parallel and return the deterministic ordered union of
-///    the decoded answers - the same sorted, deduplicated order the
-///    reduced semantics produces on a single engine, so reduced-mode
-///    answers are byte-identical. (Operational proof *order* is an
-///    enumeration artifact; the answer set is identical, served
-///    sorted.) Proof trees are refused on scatter.
+///  - Wide queries (one shared non-ground key term) go to every shard
+///    and return the deterministic ordered union of the decoded
+///    answers - the same sorted, deduplicated order the reduced
+///    semantics produces on a single engine, so reduced-mode answers
+///    are byte-identical. (Operational proof *order* is an enumeration
+///    artifact; the answer set is identical, served sorted.) Proof
+///    trees are refused on scatter.
 ///  - Key-free goals route round-robin to any single shard (each holds
 ///    all of Lambda and Pi).
 ///  - Assert/Retract route to the written key's owner; Checkpoint fans
@@ -83,80 +76,68 @@ struct RouterCounters {
 ///
 /// `deadline_ms` and `min_seqno`/`wait_ms` are propagated per shard. A
 /// shard that cannot be reached - or dies mid-query - yields
-/// kUnavailable naming the shard, never a silently truncated answer;
-/// the backend is redialed on the next request, so a restarted shard
-/// rejoins transparently. The `shardmap` command serves the versioned
-/// map (hash name, shard count, endpoints) to routing-aware clients.
+/// kUnavailable naming the shard, never a silently truncated answer.
 class Router {
  public:
-  /// `db_source` is the same MultiLog source the shards were seeded
-  /// from: the router parses it for the lattice (HELLO validation) and
-  /// the routing analysis, but never evaluates it.
-  Router(std::string db_source, RouterOptions options);
-  ~Router();
+  /// Parses `db_source` - the same MultiLog source the shards were
+  /// seeded from - for the lattice and the routing analysis (it is never
+  /// evaluated); refuses a database that cannot be sharded soundly.
+  static Result<std::unique_ptr<Router>> Open(
+      const std::string& db_source, std::vector<ShardEndpoint> shards);
 
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Checks the database + shardability, binds, and starts accepting.
-  Status Start();
-
-  /// Graceful shutdown; idempotent.
-  void Stop();
-
-  uint16_t port() const { return port_; }
+  const lattice::SecurityLattice& lattice() const { return lattice_; }
   const ShardMap& shard_map() const { return map_; }
+  const std::vector<ShardEndpoint>& shards() const { return shards_; }
   RouterCounters Counters() const;
 
- private:
-  struct Connection {
-    int fd = -1;
-    bool closed = false;  // guarded by conn_mu_
-    /// Set by ServeConnection on exit; the accept loop joins and frees
-    /// finished connections before each accept (and Stop joins the
-    /// rest), so connection churn doesn't accumulate dead threads.
-    std::atomic<bool> done{false};
-    std::thread thread;
-  };
-  struct RouterSession;
+  /// Routes a query, assert, retract, or checkpoint. The forwarded
+  /// request pins the effective mode and deadline, so a shard's defaults
+  /// can never disagree with the client's session. A refusal (bad goal,
+  /// cross-shard join, proofs on scatter) is the error to answer with.
+  Result<Forward> Route(const server::Request& req, ml::ExecMode session_mode,
+                        int64_t default_deadline_ms);
 
-  void AcceptLoop();
-  void ServeConnection(Connection* conn);
-  /// Joins and erases every finished connection. conn_mu_ held.
-  void ReapConnectionsLocked();
-  bool HandleFrame(RouterSession& session, int fd);
+  /// The client payload for a kRelay: the shard's reply verbatim plus
+  /// a "shard" member. A failed transport (`reply` not OK) becomes
+  /// kUnavailable naming the shard.
+  std::string Relay(size_t shard, const Result<std::string>& reply);
 
-  /// The shard's backend client for this session, dialing and binding
-  /// it (hello at the session clearance/mode) on first use or after a
-  /// failure dropped it. kUnavailable, naming the shard, when the dial
-  /// fails.
-  Result<server::Client*> Backend(RouterSession& session, size_t shard);
-  /// Drops a backend whose transport failed, so the next request
-  /// redials (shard-restart recovery).
-  void DropBackend(RouterSession& session, size_t shard);
-  /// Wraps a transport-level failure talking to `shard` as
-  /// kUnavailable naming it.
-  Status ShardUnavailable(size_t shard, const Status& cause);
+  /// The client response for a fan-out, from one reply per shard (by
+  /// index). Any failure fails the whole request, lowest shard index
+  /// first, with no partial answer. A scatter's answers are the ordered
+  /// union; a checkpoint reports `level` and the shard count.
+  server::Json Merge(Forward::Kind kind,
+                     const std::vector<Result<std::string>>& replies,
+                     const std::string& level,
+                     std::chrono::steady_clock::time_point start);
 
-  server::Json HandleQuery(RouterSession& session,
-                           const server::Request& req);
-  server::Json HandleWrite(RouterSession& session,
-                           const server::Request& req);
-  server::Json RelayToShard(RouterSession& session, size_t shard,
-                            const server::Json& request);
-  server::Json ScatterQuery(RouterSession& session,
-                            const server::Json& request);
+  /// The `shardmap` payload: version, shard count, hash, endpoints.
   server::Json ShardMapJson() const;
-  server::Json StatsJson() const;
-  std::string MetricsText() const;
+  /// The `stats` payload and the `metrics` body; the serving loop
+  /// supplies its session and request counts.
+  server::Json StatsJson(uint64_t connections_open,
+                         uint64_t requests_total) const;
+  std::string MetricsText(uint64_t connections_open,
+                          uint64_t requests_total) const;
 
-  std::string db_source_;
-  RouterOptions options_;
+ private:
+  Router(std::vector<ShardEndpoint> shards, RoutingAnalysis analysis,
+         lattice::SecurityLattice lattice);
+
+  Result<Forward> RouteQuery(const server::Request& req,
+                             ml::ExecMode session_mode,
+                             int64_t default_deadline_ms);
+  /// kUnavailable naming the shard, wrapping the transport failure.
+  Status ShardUnavailable(size_t shard, const Status& cause) const;
+
+  std::vector<ShardEndpoint> shards_;
   ShardMap map_;
   RoutingAnalysis analysis_;
   lattice::SecurityLattice lattice_;
 
-  std::atomic<uint64_t> requests_total_{0};
   std::atomic<uint64_t> point_queries_{0};
   std::atomic<uint64_t> scatter_queries_{0};
   std::atomic<uint64_t> anywhere_queries_{0};
@@ -165,17 +146,6 @@ class Router {
   std::atomic<uint64_t> checkpoint_fanouts_{0};
   std::atomic<uint64_t> shard_errors_{0};
   std::atomic<uint64_t> round_robin_{0};
-  std::atomic<size_t> connections_open_{0};
-
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  std::atomic<bool> stopping_{false};
-  bool started_ = false;
-
-  std::thread accept_thread_;
-  std::mutex conn_mu_;
-  /// Live (plus not-yet-reaped) connections; each owns its thread.
-  std::vector<std::unique_ptr<Connection>> connections_;
 };
 
 }  // namespace multilog::sharding

@@ -2,6 +2,7 @@
 // depth caps, and deterministic round-trip serialization.
 
 #include "server/json.h"
+#include "server/protocol.h"
 
 #include <gtest/gtest.h>
 
@@ -104,6 +105,20 @@ TEST(JsonTest, LookupHelpers) {
   EXPECT_TRUE(j.GetBool("b"));
   ASSERT_NE(j.Find("n"), nullptr);
   EXPECT_EQ(j.Find("nope"), nullptr);
+}
+
+TEST(JsonTest, AppendIntMemberMatchesSetAndSerialize) {
+  // The router splices members into relayed replies instead of
+  // re-parsing them; the bytes must be what Json::Set would produce.
+  for (const char* text : {"{}", R"({"ok":true,"answers":["{V=a}"]})"}) {
+    Json j = MustParse(text);
+    j.Set("shard", Json::Int(2));
+    j.Set("id", Json::Int(-7));
+    std::string spliced = text;
+    AppendIntMember(&spliced, "shard", 2);
+    AppendIntMember(&spliced, "id", -7);
+    EXPECT_EQ(spliced, j.Serialize()) << text;
+  }
 }
 
 }  // namespace

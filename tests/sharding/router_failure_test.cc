@@ -130,14 +130,7 @@ TEST_F(RouterFailureTest, RouterRestartServesTheLiveShardsAgain) {
   // A fresh router over the same fleet: the data lives on the shards,
   // so nothing is lost and the shard map (same size, same hash) places
   // k77 where the old router wrote it.
-  RouterOptions options;
-  options.connect_attempts = 3;
-  options.connect_backoff_ms = 10;
-  for (const auto& server : shard_servers_) {
-    options.shards.push_back({"127.0.0.1", server->port()});
-  }
-  router_ = std::make_unique<Router>(source_, options);
-  ASSERT_TRUE(router_->Start().ok());
+  StartRouter();
 
   Client client = ConnectRouter();
   ASSERT_TRUE(client.Hello("c").ok());

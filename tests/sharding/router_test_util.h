@@ -38,6 +38,18 @@ watch(K) :- u[intel(K : src -u-> V)].
 )";
 }
 
+/// A router and the server loop serving it (multilogd --router in
+/// process).
+struct ServedRouter {
+  std::unique_ptr<Router> router;
+  std::unique_ptr<server::Server> server;
+
+  uint16_t port() const { return server->port(); }
+  const ShardMap& shard_map() const { return router->shard_map(); }
+  RouterCounters Counters() const { return router->Counters(); }
+  void Stop() { server->Stop(); }
+};
+
 /// One in-process sharded deployment: N shard servers seeded with
 /// PartitionSource's split, the router over them, and a reference
 /// engine server fed the *unsplit* source - the byte-identity oracle.
@@ -53,15 +65,10 @@ class RouterClusterTest : public ::testing::Test {
     ASSERT_TRUE(parts.ok()) << parts.status();
     // Storage::Open creates the shard dir but not its parent.
     if (!data_base.empty()) ::mkdir(data_base.c_str(), 0755);
-    RouterOptions options;
-    // Tests want failures fast, not patient redials.
-    options.connect_attempts = 3;
-    options.connect_backoff_ms = 10;
     for (size_t i = 0; i < parts->size(); ++i) {
       ASSERT_TRUE(StartShard(
           (*parts)[i],
           data_base.empty() ? "" : storage::ShardDataDir(data_base, i)));
-      options.shards.push_back({"127.0.0.1", shard_servers_.back()->port()});
     }
     Result<ml::Engine> ref = ml::Engine::FromSource(source);
     ASSERT_TRUE(ref.ok()) << ref.status();
@@ -72,9 +79,27 @@ class RouterClusterTest : public ::testing::Test {
         reference_engine_.get(), ref_options,
         std::vector<server::SqlCatalogEntry>{});
     ASSERT_TRUE(reference_server_->Start().ok());
+    StartRouter();
+  }
 
-    router_ = std::make_unique<Router>(source, options);
-    const Status started = router_->Start();
+  /// Serves a router over the current shard fleet (replacing any
+  /// previous one). `shards` overrides the endpoints.
+  void StartRouter(server::ServerOptions options = {},
+                   std::vector<ShardEndpoint> shards = {}) {
+    if (shards.empty()) {
+      for (const auto& shard : shard_servers_) {
+        shards.push_back({"127.0.0.1", shard->port()});
+      }
+    }
+    Result<std::unique_ptr<Router>> router =
+        Router::Open(source_, std::move(shards));
+    ASSERT_TRUE(router.ok()) << router.status();
+    router_ = std::make_unique<ServedRouter>();
+    router_->router = std::move(router).value();
+    options.port = 0;
+    router_->server =
+        std::make_unique<server::Server>(router_->router.get(), options);
+    const Status started = router_->server->Start();
     ASSERT_TRUE(started.ok()) << started;
   }
 
@@ -177,7 +202,7 @@ class RouterClusterTest : public ::testing::Test {
   std::vector<std::unique_ptr<server::Server>> shard_servers_;
   std::unique_ptr<ml::Engine> reference_engine_;
   std::unique_ptr<server::Server> reference_server_;
-  std::unique_ptr<Router> router_;
+  std::unique_ptr<ServedRouter> router_;
 };
 
 }  // namespace multilog::sharding
