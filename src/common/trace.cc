@@ -45,8 +45,6 @@ const char* StageName(Stage stage) {
       return "magic_rewrite";
     case Stage::kEvalModel:
       return "eval_model";
-    case Stage::kDecodeModel:
-      return "decode_model";
     case Stage::kQueryModel:
       return "query_model";
     case Stage::kCheckCompare:
@@ -75,8 +73,6 @@ const char* StageName(Stage stage) {
       return "delta_reduce";
     case Stage::kDeltaEval:
       return "delta_eval";
-    case Stage::kRegroup:
-      return "regroup";
     case Stage::kReplicaApply:
       return "replica_apply";
     case Stage::kSqlExecute:

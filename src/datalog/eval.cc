@@ -1071,8 +1071,10 @@ Result<std::vector<Substitution>> QueryModel(const Model& model,
   goal_vars.erase(std::unique(goal_vars.begin(), goal_vars.end()),
                   goal_vars.end());
 
-  std::set<std::string> seen;  // canonical text of the restricted answer
-  std::vector<Substitution> answers;
+  // Each restricted answer is rendered once; that canonical text both
+  // deduplicates and orders (equal texts are equal answers, so sorting
+  // the unique keys is the text order of the answers).
+  std::vector<std::pair<std::string, Substitution>> keyed;
   MULTILOG_RETURN_IF_ERROR(JoinBody(
       goal, 0, model, nullptr, nullptr, -1, nullptr, Substitution(),
       [&](const Substitution& subst) -> Status {
@@ -1082,15 +1084,18 @@ Result<std::vector<Substitution>> QueryModel(const Model& model,
           Term value = subst.Apply(Term::Var(v));
           if (!value.IsVariable()) restricted.Bind(v, value);
         }
-        if (seen.insert(restricted.ToString()).second) {
-          answers.push_back(std::move(restricted));
-        }
+        std::string key = restricted.ToString();
+        keyed.emplace_back(std::move(key), std::move(restricted));
         return Status::OK();
       }));
-  std::sort(answers.begin(), answers.end(),
-            [](const Substitution& a, const Substitution& b) {
-              return a.ToString() < b.ToString();
-            });
+  std::sort(keyed.begin(), keyed.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<Substitution> answers;
+  answers.reserve(keyed.size());
+  for (size_t i = 0; i < keyed.size(); ++i) {
+    if (i > 0 && keyed[i].first == keyed[i - 1].first) continue;
+    answers.push_back(std::move(keyed[i].second));
+  }
   return answers;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iterator>
-#include <set>
 #include <unordered_map>
 
 #include "common/str_util.h"
@@ -113,10 +112,9 @@ struct KeyVectorHash {
 /// candidate cells per attribute, cartesian assembly, and the per-tuple
 /// representability filter. beta_cau factors through the partition of
 /// the visible tuples by key value - groups neither read nor write each
-/// other's state - which is what makes the incremental regrouping of
-/// CautiousBeliefView exact. Returns the group's believed tuples,
-/// sorted and unique; ORs `conflict` on multiple maximal candidates,
-/// surviving merged key versions, or unrepresentable combinations.
+/// other's state. Returns the group's believed tuples, sorted and
+/// unique; ORs `conflict` on multiple maximal candidates, surviving
+/// merged key versions, or unrepresentable combinations.
 Result<std::vector<Tuple>> CautiousGroup(const lattice::SecurityLattice& lat,
                                          const std::string& level,
                                          size_t arity, size_t key_arity,
@@ -268,91 +266,6 @@ Result<BeliefOutcome> BelieveCautious(const Relation& relation,
 }
 
 }  // namespace
-
-Result<CautiousBeliefView> CautiousBeliefView::Build(
-    const Relation& relation, const std::string& level,
-    const BeliefOptions& options) {
-  CautiousBeliefView view(relation.scheme(), &relation.lat(), level,
-                          options);
-  MULTILOG_ASSIGN_OR_RETURN(view.level_index_,
-                            relation.lat().Index(level));
-  for (const Tuple& t : relation.tuples()) {
-    MULTILOG_RETURN_IF_ERROR(view.Apply(t, /*remove=*/false));
-  }
-  return view;
-}
-
-Status CautiousBeliefView::Apply(const Tuple& t, bool remove) {
-  trace::Span span(trace::Stage::kRegroup);
-  if (t.cells.size() != scheme_.arity()) {
-    return Status::InvalidArgument("arity mismatch: tuple " + t.ToString() +
-                                   " vs scheme " + scheme_.relation_name());
-  }
-  MULTILOG_ASSIGN_OR_RETURN(size_t tc_index, lat_->Index(t.tc));
-  // Invisible tuples never reach beta_cau's candidate pool; the delta
-  // is a no-op for this believing level.
-  if (!lat_->LeqIndex(tc_index, level_index_)) return Status::OK();
-
-  std::vector<Value> key;
-  key.reserve(scheme_.key_arity());
-  for (size_t i = 0; i < scheme_.key_arity(); ++i) {
-    key.push_back(t.cells[i].value);
-  }
-  auto it = groups_.find(key);
-
-  // Stage the mutated group base, then recompute its believed tuples
-  // *before* committing anything, so a lattice error leaves the view
-  // untouched.
-  std::vector<Tuple> base =
-      it == groups_.end() ? std::vector<Tuple>{} : it->second.base;
-  if (remove) {
-    auto pos = std::find(base.begin(), base.end(), t);
-    if (pos == base.end()) {
-      return Status::NotFound("tuple not in the maintained base: " +
-                              t.ToString());
-    }
-    base.erase(pos);
-  } else {
-    base.push_back(t);
-  }
-
-  Group next;
-  next.base = std::move(base);
-  if (!next.base.empty()) {
-    std::vector<const Tuple*> group;
-    group.reserve(next.base.size());
-    for (const Tuple& b : next.base) group.push_back(&b);
-    MULTILOG_ASSIGN_OR_RETURN(
-        next.believed,
-        CautiousGroup(*lat_, level_, scheme_.arity(), scheme_.key_arity(),
-                      group, options_, &next.conflict));
-  }
-
-  // Commit: diff the group's believed tuples into the global ordered
-  // set (disjointness across groups makes the erase/insert exact).
-  if (it != groups_.end()) {
-    for (const Tuple& b : it->second.believed) believed_.erase(b);
-    if (it->second.conflict) --conflict_groups_;
-    if (next.base.empty()) {
-      groups_.erase(it);
-      return Status::OK();
-    }
-    it->second = std::move(next);
-  } else {
-    it = groups_.emplace(std::move(key), std::move(next)).first;
-  }
-  believed_.insert(it->second.believed.begin(), it->second.believed.end());
-  if (it->second.conflict) ++conflict_groups_;
-  return Status::OK();
-}
-
-Result<BeliefOutcome> CautiousBeliefView::Outcome() const {
-  BeliefOutcome out{Relation(scheme_, lat_), conflict_groups_ > 0};
-  for (const Tuple& t : believed_) {
-    MULTILOG_RETURN_IF_ERROR(out.relation.AppendDerived(t));
-  }
-  return out;
-}
 
 Result<BeliefOutcome> Believe(const Relation& relation,
                               const std::string& level, BeliefMode mode,

@@ -3,7 +3,6 @@
 
 #include <functional>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -59,65 +58,6 @@ struct BeliefOutcome {
 Result<BeliefOutcome> Believe(const Relation& relation,
                               const std::string& level, BeliefMode mode,
                               const BeliefOptions& options = {});
-
-/// An incrementally maintained cautious belief view - the regroup stage
-/// of the delta pipeline. beta_cau factors through the partition of the
-/// base relation by key value: a single-tuple delta touches exactly one
-/// key group, whose believed tuples are recomputed in O(|group|) and
-/// diffed into a globally ordered set, so Outcome() stays byte-identical
-/// to a scratch Believe(base, level, kCautious) of the mutated relation
-/// without rescanning the other groups.
-class CautiousBeliefView {
- public:
-  /// Builds the maintained view over `relation`'s current tuples. The
-  /// scheme is copied; the lattice is borrowed from the relation and
-  /// must outlive the view.
-  static Result<CautiousBeliefView> Build(const Relation& relation,
-                                          const std::string& level,
-                                          const BeliefOptions& options = {});
-
-  /// Applies one base-relation delta: with `remove` retracts a tuple
-  /// equal to `t` (NotFound when absent), otherwise inserts `t`.
-  /// Tuples invisible to the believing level are tracked as no-ops.
-  /// On error the view is left unchanged.
-  Status Apply(const Tuple& t, bool remove);
-
-  /// The believed relation; equals Believe(base, level, kCautious) over
-  /// the accumulated deltas.
-  Result<BeliefOutcome> Outcome() const;
-
-  /// Number of key groups with at least one visible base tuple.
-  size_t group_count() const { return groups_.size(); }
-
- private:
-  /// Per-key-group state: the visible base tuples (a multiset - the
-  /// delta source may carry structural duplicates) and their believed
-  /// projection, replaced wholesale on every delta to the group.
-  struct Group {
-    std::vector<Tuple> base;
-    std::vector<Tuple> believed;
-    bool conflict = false;
-  };
-
-  CautiousBeliefView(Scheme scheme, const lattice::SecurityLattice* lat,
-                     std::string level, BeliefOptions options)
-      : scheme_(std::move(scheme)),
-        lat_(lat),
-        level_(std::move(level)),
-        options_(options) {}
-
-  Scheme scheme_;
-  const lattice::SecurityLattice* lat_;
-  std::string level_;
-  size_t level_index_ = 0;
-  BeliefOptions options_;
-  std::map<std::vector<Value>, Group> groups_;
-  /// Union of the groups' believed tuples, kept in served order; group
-  /// outputs are disjoint (their key values differ), so per-group
-  /// erase/insert diffs are exact.
-  std::set<Tuple> believed_;
-  size_t conflict_groups_ = 0;
-};
 
 /// Signature of a user-defined belief mode (Section 7): given the raw
 /// relation and the believing level, produce the believed tuples.

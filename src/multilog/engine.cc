@@ -18,32 +18,22 @@ using datalog::Substitution;
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
-/// Rewrites a level-specialized fact (rel__u(P,K,A,V,C)) back to its
-/// generic form (rel(P,K,A,V,C,u)). Non-specialized facts pass through.
-Atom DecodeFact(const Atom& fact) {
-  static const struct {
-    const char* prefix;
-    size_t level_pos;
-  } kTargets[] = {
-      {"rel__", 5}, {"bel__", 5}, {"vis__", 5}, {"overridden__", 4}};
-  for (const auto& target : kTargets) {
-    const std::string& name = fact.predicate();
-    if (!StartsWith(name, target.prefix)) continue;
-    std::string base(name.substr(0, std::string(target.prefix).size() - 2));
-    std::string level = name.substr(std::string(target.prefix).size());
-    std::vector<datalog::Term> args = fact.args();
-    args.insert(args.begin() + static_cast<long>(target.level_pos),
-                datalog::Term::Sym(level));
-    return Atom(base, std::move(args));
-  }
-  return fact;
-}
-
 /// Removes bindings of don't-care variables (the parser's "_dc<n>"
 /// placeholders for omitted classifications, Section 7) and deduplicates
 /// the remaining answers, keeping proof alignment.
 void StripDontCare(std::vector<Substitution>* answers,
                    std::vector<ProofPtr>* proofs) {
+  // Both semantics hand over answers already restricted to the goal's
+  // variables, deduplicated and ordered; with no placeholder among the
+  // bindings there is nothing to strip.
+  const bool has_dont_care = std::any_of(
+      answers->begin(), answers->end(), [](const Substitution& s) {
+        return std::any_of(s.bindings().begin(), s.bindings().end(),
+                           [](const auto& binding) {
+                             return StartsWith(binding.first.str(), "_dc");
+                           });
+      });
+  if (!has_dont_care) return;
   std::set<std::string> seen;
   std::vector<Substitution> kept_answers;
   std::vector<ProofPtr> kept_proofs;
@@ -63,6 +53,33 @@ void StripDontCare(std::vector<Substitution>* answers,
   }
   *answers = std::move(kept_answers);
   if (proofs != nullptr) *proofs = std::move(kept_proofs);
+}
+
+/// Matches a goal against a level's encoded fixpoint. `lists` are the
+/// goal's translations for that level's program
+/// (ReducedProgram::TranslateGoal): a single list unless specialization
+/// expanded level variables into one list per level. Every list binds
+/// the same variables as the generic goal (a level variable through
+/// its `Var = level` equality), so the union of the lists' answers,
+/// deduplicated and ordered by canonical text, is what QueryModel gives
+/// for the generic goal over the decoded model.
+Result<std::vector<Substitution>> MatchGoal(
+    const Model& model, const std::vector<std::vector<datalog::Literal>>& lists,
+    const CancelToken* cancel) {
+  if (lists.size() == 1) return datalog::QueryModel(model, lists[0], cancel);
+  std::map<std::string, Substitution> keyed;
+  for (const std::vector<datalog::Literal>& list : lists) {
+    MULTILOG_ASSIGN_OR_RETURN(std::vector<Substitution> answers,
+                              datalog::QueryModel(model, list, cancel));
+    for (Substitution& answer : answers) {
+      std::string key = answer.ToString();
+      keyed.try_emplace(std::move(key), std::move(answer));
+    }
+  }
+  std::vector<Substitution> out;
+  out.reserve(keyed.size());
+  for (auto& [key, answer] : keyed) out.push_back(std::move(answer));
+  return out;
 }
 
 std::string AnswersKey(const std::vector<Substitution>& answers) {
@@ -198,13 +215,17 @@ Result<const datalog::Model*> Engine::ReducedModel(
 }
 
 Result<const datalog::Model*> Engine::ReducedModelLocked(
-    const std::string& user_level, const CancelToken* cancel) {
+    const std::string& user_level, const CancelToken* cancel,
+    const ReducedProgram** program) {
   const Symbol level = Symbol::Intern(user_level);
   {
     std::shared_lock<std::shared_mutex> lock(caches_->mu);
-    auto it = caches_->models.find(level);
-    if (it != caches_->models.end()) {
+    auto it = caches_->fixpoints.find(level);
+    if (it != caches_->fixpoints.end()) {
       caches_->cache_hits.fetch_add(1, kRelaxed);
+      // A fixpoint is only ever published after its program, and every
+      // path that drops the program drops the fixpoint with it.
+      if (program != nullptr) *program = &caches_->reduced.at(level);
       return &it->second;
     }
   }
@@ -219,28 +240,14 @@ Result<const datalog::Model*> Engine::ReducedModelLocked(
                             ReducedLocked(user_level));
   datalog::EvalOptions eval = options_.eval;
   eval.cancel = cancel;
-  Model raw;
+  Model model;
   {
     trace::Span eval_span(trace::Stage::kEvalModel);
-    MULTILOG_ASSIGN_OR_RETURN(raw, datalog::Evaluate(rp->program, eval));
+    MULTILOG_ASSIGN_OR_RETURN(model, datalog::Evaluate(rp->program, eval));
   }
-  Model decoded;
-  {
-    trace::Span decode_span(trace::Stage::kDecodeModel);
-    for (const std::string& pred : raw.Predicates()) {
-      for (const Atom& fact : raw.FactsFor(pred)) {
-        decoded.Insert(DecodeFact(fact));
-      }
-    }
-  }
+  if (program != nullptr) *program = rp;
   std::unique_lock<std::shared_mutex> lock(caches_->mu);
-  // Keep the encoded fixpoint alongside the decoded view: writes
-  // maintain it in place via ApplyDelta (racing builders publish
-  // identical models, so first-wins holds for both maps).
-  if (options_.incremental) {
-    caches_->raw_models.try_emplace(level, std::move(raw));
-  }
-  auto [it, inserted] = caches_->models.try_emplace(level, std::move(decoded));
+  auto [it, inserted] = caches_->fixpoints.try_emplace(level, std::move(model));
   return &it->second;
 }
 
@@ -316,11 +323,6 @@ Result<QueryResult> Engine::QueryLocked(const std::vector<MlLiteral>& goal,
 
   QueryResult reduced;
   {
-    // The decoded model holds generic facts; match the *generic* goal
-    // against it (specialization only matters for evaluation).
-    MULTILOG_ASSIGN_OR_RETURN(std::vector<datalog::Literal> generic,
-                              TranslateGoalGeneric(goal, user_level));
-
     // Goal-directed fast path: a selective goal with no cached full
     // model runs through a compiled magic plan, deriving only the
     // goal-relevant fragment. Falls through to the full build-and-match
@@ -329,20 +331,24 @@ Result<QueryResult> Engine::QueryLocked(const std::vector<MlLiteral>& goal,
     if (options_.magic) {
       Result<std::vector<Substitution>> outcome =
           Status::Internal("magic outcome unset");
-      if (TryMagicLocked(generic, user_level, cancel, &outcome)) {
+      if (TryMagicLocked(goal, user_level, cancel, &outcome)) {
         MULTILOG_RETURN_IF_ERROR(outcome.status());
         reduced.answers = std::move(outcome.value());
         magic_served = true;
       }
     }
     if (!magic_served) {
-      // Evaluate the cached model, then match the goal against it.
+      // Evaluate the cached fixpoint, then match the goal, translated
+      // for the level's (possibly specialized) program, against it.
+      const ReducedProgram* rp = nullptr;
       MULTILOG_ASSIGN_OR_RETURN(const Model* model,
-                                ReducedModelLocked(user_level, cancel));
+                                ReducedModelLocked(user_level, cancel, &rp));
       trace::Span query_span(trace::Stage::kQueryModel);
-      MULTILOG_ASSIGN_OR_RETURN(std::vector<Substitution> answers,
-                                datalog::QueryModel(*model, generic, cancel));
-      reduced.answers = std::move(answers);
+      MULTILOG_ASSIGN_OR_RETURN(
+          std::vector<std::vector<datalog::Literal>> lists,
+          rp->TranslateGoal(goal));
+      MULTILOG_ASSIGN_OR_RETURN(reduced.answers,
+                                MatchGoal(*model, lists, cancel));
     }
     StripDontCare(&reduced.answers, nullptr);
   }
@@ -370,18 +376,27 @@ Result<QueryResult> Engine::QueryLocked(const std::vector<MlLiteral>& goal,
 }
 
 bool Engine::TryMagicLocked(
-    const std::vector<datalog::Literal>& generic,
-    const std::string& user_level, const CancelToken* cancel,
+    const std::vector<MlLiteral>& goal, const std::string& user_level,
+    const CancelToken* cancel,
     Result<std::vector<datalog::Substitution>>* outcome) {
   const Symbol level = Symbol::Intern(user_level);
   {
     // A cached full model answers any goal at hash-lookup speed; magic
     // only wins when the alternative is building that model.
     std::shared_lock<std::shared_mutex> lock(caches_->mu);
-    if (caches_->models.count(level) > 0) return false;
+    if (caches_->fixpoints.count(level) > 0) return false;
+  }
+  // Plans compile from the generic program, so the goal is translated
+  // unspecialized.
+  Result<std::vector<datalog::Literal>> generic =
+      TranslateGoalGeneric(goal, user_level);
+  if (!generic.ok()) {
+    // The full path's translation would fail identically.
+    *outcome = generic.status();
+    return true;
   }
 
-  datalog::MagicGoalPattern pattern = datalog::ParameterizeGoal(generic);
+  datalog::MagicGoalPattern pattern = datalog::ParameterizeGoal(*generic);
   if (!pattern.any_bound) {
     // All-free goals enumerate the whole relation anyway; specializing
     // them buys nothing, so they always take the full path.
@@ -428,7 +443,7 @@ bool Engine::TryMagicLocked(
     // Plans compile from the generic (display) program: the generic
     // goal's predicates match it directly, and the specialization
     // rewrite it skips is semantics-preserving, so the reachable
-    // fragment's fixpoint restricted to the goal equals the decoded
+    // fragment's fixpoint restricted to the goal equals the full
     // model's answers.
     Result<datalog::MagicPlan> compiled =
         [&]() -> Result<datalog::MagicPlan> {
@@ -781,11 +796,10 @@ Status Engine::InstallSnapshot(uint64_t seqno, const std::string& source) {
   uint64_t dropped = 0;
   {
     std::unique_lock<std::shared_mutex> lock(caches_->mu);
-    dropped += caches_->reduced.size() + caches_->models.size() +
+    dropped += caches_->reduced.size() + caches_->fixpoints.size() +
                caches_->interpreters.size();
     caches_->reduced.clear();
-    caches_->models.clear();
-    caches_->raw_models.clear();
+    caches_->fixpoints.clear();
     caches_->interpreters.clear();
     caches_->plans.clear();
     for (auto& [sym, epoch] : caches_->plan_epochs) ++epoch;
@@ -835,17 +849,7 @@ void Engine::PropagateDelta(const std::string& written_level,
   // taken for symmetry with the read paths.
   uint64_t dropped = 0;
   std::unique_lock<std::shared_mutex> lock(caches_->mu);
-  std::set<std::string> cached;
-  for (const auto& [sym, unused] : caches_->reduced) {
-    cached.insert(std::string(sym.str()));
-  }
-  for (const auto& [sym, unused] : caches_->models) {
-    cached.insert(std::string(sym.str()));
-  }
-  for (const auto& [sym, unused] : caches_->interpreters) {
-    cached.insert(std::string(sym.str()));
-  }
-  for (const std::string& name : cached) {
+  for (const std::string& name : CachedLevelsLocked()) {
     Result<bool> leq = cdb_.lattice.Leq(written_level, name);
     const bool dominating = leq.ok() && leq.value();
     const Symbol sym = Symbol::Intern(name);
@@ -876,8 +880,7 @@ void Engine::PropagateDelta(const std::string& written_level,
         // The maintained program is stale; drop the whole level and
         // let the next query rebuild it from Sigma.
         dropped += caches_->reduced.erase(sym);
-        dropped += caches_->models.erase(sym);
-        caches_->raw_models.erase(sym);
+        dropped += caches_->fixpoints.erase(sym);
         dropped += caches_->interpreters.erase(sym);
         caches_->fallback_recomputes.fetch_add(1, kRelaxed);
         result->invalidated_levels.push_back(name);
@@ -889,75 +892,58 @@ void Engine::PropagateDelta(const std::string& written_level,
       // assert invalidates its negative answers); rebuild lazily.
       dropped += caches_->interpreters.erase(sym);
 
-      auto raw_it = caches_->raw_models.find(sym);
-      auto model_it = caches_->models.find(sym);
-      if (raw_it == caches_->raw_models.end() ||
-          model_it == caches_->models.end()) {
+      auto fix_it = caches_->fixpoints.find(sym);
+      if (fix_it == caches_->fixpoints.end()) {
         // Program maintained, but no live model yet (the first query
-        // at this level evaluates the maintained program from
-        // scratch). Drop any orphaned half of the pair.
-        dropped += caches_->models.erase(sym);
-        caches_->raw_models.erase(sym);
+        // at this level evaluates the maintained program from scratch).
         result->maintained_levels.push_back(name);
         continue;
       }
       const std::vector<Atom> no_atoms;
       const std::vector<Atom>& adds = retract ? no_atoms : spliced->edb;
       const std::vector<Atom>& removes = retract ? spliced->edb : no_atoms;
-      Result<datalog::DeltaChanges> changes =
-          [&]() -> Result<datalog::DeltaChanges> {
+      Status applied = [&]() -> Status {
         trace::Span span(trace::Stage::kDeltaEval);
         return datalog::ApplyDelta(rp.program, adds, removes,
-                                   &raw_it->second, options_.eval);
+                                   &fix_it->second, options_.eval)
+            .status();
       }();
-      if (!changes.ok()) {
-        // The raw model may be mid-surgery - discard both forms; the
-        // maintained program stays (it is exact either way).
-        caches_->raw_models.erase(sym);
-        dropped += caches_->models.erase(sym);
+      if (!applied.ok()) {
+        // The fixpoint may be mid-surgery - discard it; the maintained
+        // program stays (it is exact either way).
+        dropped += caches_->fixpoints.erase(sym);
         caches_->fallback_recomputes.fetch_add(1, kRelaxed);
         result->invalidated_levels.push_back(name);
         continue;
-      }
-
-      {
-        // Regroup the served view: the net raw changes decode 1:1 (the
-        // specialization rewrite is injective), so the decoded model is
-        // maintained in O(|added| + |removed|).
-        trace::Span span(trace::Stage::kRegroup);
-        Model& decoded = model_it->second;
-        std::vector<Atom> decoded_removed;
-        decoded_removed.reserve(changes->removed.size());
-        for (const Atom& a : changes->removed) {
-          decoded_removed.push_back(DecodeFact(a));
-        }
-        decoded.RemoveFacts(decoded_removed);
-        for (const Atom& a : changes->added) decoded.Insert(DecodeFact(a));
       }
       caches_->deltas_applied.fetch_add(1, kRelaxed);
       result->maintained_levels.push_back(name);
       continue;
     }
 
-    if (!dominating) continue;
-    // No maintained program. A model without its program cannot be
-    // maintained (should not happen - models are built through
-    // ReducedLocked - but stay safe); the interpreter is dropped as
-    // always.
-    const uint64_t interp_dropped = caches_->interpreters.erase(sym);
-    dropped += interp_dropped;
-    const uint64_t had_model = caches_->models.erase(sym);
-    caches_->raw_models.erase(sym);
-    dropped += had_model;
-    if (had_model > 0) {
-      caches_->fallback_recomputes.fetch_add(1, kRelaxed);
-    }
-    if (had_model + interp_dropped > 0) {
+    // No reduced program, hence no fixpoint: only an interpreter is
+    // cached, and it is dropped as always.
+    if (dominating && caches_->interpreters.erase(sym) > 0) {
+      ++dropped;
       result->invalidated_levels.push_back(name);
     }
   }
   caches_->invalidation_events.fetch_add(1, kRelaxed);
   caches_->cache_entries_invalidated.fetch_add(dropped, kRelaxed);
+}
+
+std::set<std::string> Engine::CachedLevelsLocked() const {
+  std::set<std::string> cached;
+  for (const auto& [sym, unused] : caches_->reduced) {
+    cached.insert(std::string(sym.str()));
+  }
+  for (const auto& [sym, unused] : caches_->fixpoints) {
+    cached.insert(std::string(sym.str()));
+  }
+  for (const auto& [sym, unused] : caches_->interpreters) {
+    cached.insert(std::string(sym.str()));
+  }
+  return cached;
 }
 
 std::vector<std::string> Engine::InvalidateDominating(
@@ -969,23 +955,12 @@ std::vector<std::string> Engine::InvalidateDominating(
   std::vector<std::string> invalidated;
   uint64_t dropped = 0;
   std::unique_lock<std::shared_mutex> lock(caches_->mu);
-  std::set<std::string> cached;
-  for (const auto& [sym, unused] : caches_->reduced) {
-    cached.insert(std::string(sym.str()));
-  }
-  for (const auto& [sym, unused] : caches_->models) {
-    cached.insert(std::string(sym.str()));
-  }
-  for (const auto& [sym, unused] : caches_->interpreters) {
-    cached.insert(std::string(sym.str()));
-  }
-  for (const std::string& name : cached) {
+  for (const std::string& name : CachedLevelsLocked()) {
     Result<bool> leq = cdb_.lattice.Leq(written_level, name);
     if (!leq.ok() || !leq.value()) continue;
     const Symbol sym = Symbol::Intern(name);
     dropped += caches_->reduced.erase(sym);
-    dropped += caches_->models.erase(sym);
-    caches_->raw_models.erase(sym);
+    dropped += caches_->fixpoints.erase(sym);
     dropped += caches_->interpreters.erase(sym);
     invalidated.push_back(name);
   }
@@ -1050,7 +1025,10 @@ EngineCounters Engine::Counters() const {
   c.magic_fallbacks = caches_->magic_fallbacks.load(kRelaxed);
   {
     std::shared_lock<std::shared_mutex> lock(caches_->mu);
-    c.live_models = caches_->models.size();
+    c.live_models = caches_->fixpoints.size();
+    for (const auto& [level, model] : caches_->fixpoints) {
+      c.model_facts += model.size();
+    }
   }
   return c;
 }

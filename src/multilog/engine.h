@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -75,11 +76,11 @@ struct EngineOptions {
   /// Maintain cached reduced programs and served models *in place*
   /// across Assert/Retract - the translated fact is spliced into each
   /// dominating level's reduced program and the EDB delta is propagated
-  /// into its live fixpoint (DRed) and decoded view - instead of
-  /// invalidating and recomputing them on the next query. Answers are
-  /// byte-identical either way (property-tested); a level falls back to
-  /// invalidation when its change cannot be applied incrementally.
-  /// Disable for ablation or as a safety valve.
+  /// into its live fixpoint (DRed) - instead of invalidating and
+  /// recomputing them on the next query. Answers are byte-identical
+  /// either way (property-tested); a level falls back to invalidation
+  /// when its change cannot be applied incrementally. Disable for
+  /// ablation or as a safety valve.
   bool incremental = IncrementalMaintenanceDefault();
   /// Goal-directed query compilation: when a reduced-mode query binds
   /// at least one argument and no full model is cached for its level,
@@ -148,6 +149,7 @@ struct EngineCounters {
   uint64_t deltas_applied = 0;   // live models maintained in place by writes
   uint64_t fallback_recomputes = 0;  // levels dropped to a full recompute
   uint64_t live_models = 0;      // gauge: served models currently cached
+  uint64_t model_facts = 0;      // gauge: facts held by those models
   uint64_t plan_hits = 0;        // compiled magic plans served from cache
   uint64_t plan_misses = 0;      // plan compiles (first query of a pattern)
   uint64_t magic_fallbacks = 0;  // queries declined by the magic path
@@ -355,10 +357,12 @@ class Engine {
   /// query.
   Result<const ReducedProgram*> Reduced(const std::string& user_level);
 
-  /// The evaluated model of the reduced program, with any level
-  /// specialization decoded back to generic rel/6, bel/7, vis/6 and
-  /// overridden/5 atoms. Stability caveat as for Reduced. A cancelled
-  /// evaluation (via `cancel`) publishes nothing.
+  /// The evaluated model of the reduced program, exactly as queries are
+  /// served from it: when the program is level-specialized it holds
+  /// rel__u/5, bel__u/6, ... facts, which DecodeModel rewrites back to
+  /// generic rel/6, bel/7, vis/6 and overridden/5 atoms. Stability
+  /// caveat as for Reduced. A cancelled evaluation (via `cancel`)
+  /// publishes nothing.
   Result<const datalog::Model*> ReducedModel(const std::string& user_level,
                                              const CancelToken* cancel =
                                                  nullptr);
@@ -391,12 +395,13 @@ class Engine {
     // an integer compare, and iteration order still matches the level
     // names.
     std::map<Symbol, ReducedProgram> reduced;
-    std::map<Symbol, datalog::Model> models;
-    /// The *encoded* (possibly level-specialized) fixpoint each decoded
-    /// model in `models` was derived from - the form ApplyDelta
-    /// maintains. Populated only when EngineOptions::incremental is on,
-    /// and kept in lockstep with `models`.
-    std::map<Symbol, datalog::Model> raw_models;
+    /// The one evaluated model per level: the fixpoint of `reduced`'s
+    /// (possibly level-specialized) program. Queries match their goal,
+    /// translated for that program, against it directly, and writes
+    /// maintain it in place via ApplyDelta (or drop it, with
+    /// incremental maintenance off). A level has a fixpoint only while
+    /// it has a reduced program.
+    std::map<Symbol, datalog::Model> fixpoints;
     std::map<Symbol, InterpreterSlot> interpreters;
 
     /// One compiled magic plan per (level, goal-signature). A nullptr
@@ -450,8 +455,11 @@ class Engine {
                                   const std::string& user_level,
                                   ExecMode mode, const CancelToken* cancel);
   Result<const ReducedProgram*> ReducedLocked(const std::string& user_level);
+  /// `program`, when given, receives the reduced program the model is
+  /// the fixpoint of.
   Result<const datalog::Model*> ReducedModelLocked(
-      const std::string& user_level, const CancelToken* cancel);
+      const std::string& user_level, const CancelToken* cancel,
+      const ReducedProgram** program = nullptr);
 
   /// The goal-directed fast path of reduced-mode queries: probes the
   /// compiled-plan cache for (level, binding pattern), compiling and
@@ -462,7 +470,7 @@ class Engine {
   /// compile was rejected, or a level whose full model is already
   /// cached (matching a cached model is cheaper than re-deriving).
   /// Assumes db_mu held (shared).
-  bool TryMagicLocked(const std::vector<datalog::Literal>& generic,
+  bool TryMagicLocked(const std::vector<MlLiteral>& goal,
                       const std::string& user_level,
                       const CancelToken* cancel,
                       Result<std::vector<datalog::Substitution>>* outcome);
@@ -492,15 +500,19 @@ class Engine {
   /// The incremental counterpart of InvalidateDominating: for every
   /// cached level dominating `written_level`, splices the translated
   /// fact into the maintained reduced program (kDeltaReduce) and
-  /// propagates the EDB delta into the live fixpoint (kDeltaEval) and
-  /// its decoded serving view (kRegroup). A level whose change cannot
-  /// be applied incrementally falls back to being dropped. Interpreters
+  /// propagates the EDB delta into the live fixpoint (kDeltaEval). A
+  /// level whose change cannot be applied incrementally falls back to
+  /// being dropped. Interpreters
   /// are always dropped (tabled state cannot absorb a retraction).
   /// `fact` is the mutated Sigma clause; `sigma_index` its store
   /// position before a retract erased it. Assumes db_mu held
   /// exclusively.
   void PropagateDelta(const std::string& written_level, const MlClause& fact,
                       bool retract, size_t sigma_index, WriteResult* result);
+
+  /// The names of the levels holding any cached entry. Assumes `mu`
+  /// held.
+  std::set<std::string> CachedLevelsLocked() const;
 
   CheckedDatabase cdb_;
   /// Incremental index over the stored Sigma facts (duplicate counts +

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "common/str_util.h"
 #include "datalog/unify.h"
 
 namespace multilog::ml {
@@ -174,6 +175,28 @@ Result<Atom> SpecializeAtom(const Atom& atom, int pos) {
     if (i != pos) args.push_back(atom.args()[i]);
   }
   return Atom(atom.predicate() + "__" + level.name(), std::move(args));
+}
+
+/// The inverse of SpecializeAtom: rewrites a per-level fact
+/// (rel__u(P,K,A,V,C)) back to its generic form (rel(P,K,A,V,C,u)).
+/// Other facts pass through.
+Atom DecodeFact(const Atom& fact) {
+  static const struct {
+    const char* prefix;
+    size_t level_pos;
+  } kTargets[] = {
+      {"rel__", 5}, {"bel__", 5}, {"vis__", 5}, {"overridden__", 4}};
+  for (const auto& target : kTargets) {
+    const std::string& name = fact.predicate();
+    if (!StartsWith(name, target.prefix)) continue;
+    std::string base(name.substr(0, std::string(target.prefix).size() - 2));
+    std::string level = name.substr(std::string(target.prefix).size());
+    std::vector<Term> args = fact.args();
+    args.insert(args.begin() + static_cast<long>(target.level_pos),
+                Term::Sym(level));
+    return Atom(base, std::move(args));
+  }
+  return fact;
 }
 
 /// Statically evaluates ground dominate/sdom/level literals against the
@@ -508,6 +531,14 @@ void EraseSigmaFact(ReducedProgram* rp, size_t sigma_index) {
                                  static_cast<ptrdiff_t>(sigma_index));
   rp->sigma_program_counts.erase(rp->sigma_program_counts.begin() +
                                  static_cast<ptrdiff_t>(sigma_index));
+}
+
+datalog::Model DecodeModel(const datalog::Model& model) {
+  datalog::Model out;
+  for (const std::string& pred : model.Predicates()) {
+    for (const Atom& fact : model.FactsFor(pred)) out.Insert(DecodeFact(fact));
+  }
+  return out;
 }
 
 Result<std::vector<std::vector<datalog::Literal>>>

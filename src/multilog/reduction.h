@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "datalog/model.h"
 #include "datalog/program.h"
 #include "multilog/ast.h"
 #include "multilog/database.h"
@@ -93,6 +94,14 @@ struct ReducedProgram {
 Result<ReducedProgram> Reduce(const CheckedDatabase& cdb,
                               const std::string& user_level,
                               const ReductionOptions& options = {});
+
+/// The generic form of an evaluated reduced program: every per-level
+/// fact of a level-specialized program (rel__u/5, bel__u/6, vis__u/5,
+/// overridden__u/4) rewritten back to rel/6, bel/7, vis/6 and
+/// overridden/5; other facts copied. The engine serves queries from the
+/// encoded model itself; this is for readers that want Figure 12's
+/// generic atoms.
+datalog::Model DecodeModel(const datalog::Model& model);
 
 /// Names reserved by the reduction; user programs may define bel/7
 /// (user belief modes, Section 7) but not the others.

@@ -96,8 +96,9 @@ Result<std::vector<CellFact>> BelievedCells(Engine* engine,
                                             const std::string& mode) {
   MULTILOG_ASSIGN_OR_RETURN(const datalog::Model* model,
                             engine->ReducedModel(level));
+  const datalog::Model decoded = DecodeModel(*model);
   std::vector<CellFact> out;
-  for (const datalog::Atom& fact : model->FactsFor("bel/7")) {
+  for (const datalog::Atom& fact : decoded.FactsFor("bel/7")) {
     const auto& a = fact.args();
     if (!a[0].IsSymbol() || a[0].name() != ToLower(predicate)) continue;
     if (!a[5].IsSymbol() || a[5].name() != level) continue;

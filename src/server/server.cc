@@ -1444,6 +1444,7 @@ Json Server::StatsJson() {
   engine.Set("fallback_recomputes",
              Json::Int(static_cast<int64_t>(ec.fallback_recomputes)));
   engine.Set("live_models", Json::Int(static_cast<int64_t>(ec.live_models)));
+  engine.Set("model_facts", Json::Int(static_cast<int64_t>(ec.model_facts)));
   engine.Set("plan_hits", Json::Int(static_cast<int64_t>(ec.plan_hits)));
   engine.Set("plan_misses", Json::Int(static_cast<int64_t>(ec.plan_misses)));
   engine.Set("magic_fallbacks",
@@ -1552,6 +1553,8 @@ std::string Server::MetricsText() {
           ec.fallback_recomputes);
   counter("multilog_engine_live_models", "Maintained per-level models.",
           ec.live_models, "gauge");
+  counter("multilog_engine_model_facts", "Facts held by the cached models.",
+          ec.model_facts, "gauge");
   counter("multilog_engine_plan_hits_total",
           "Compiled magic plans served from the plan cache.", ec.plan_hits);
   counter("multilog_engine_plan_misses_total",

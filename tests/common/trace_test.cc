@@ -31,7 +31,6 @@ TEST_F(TraceTest, StageNamesAreStableSnakeCase) {
   EXPECT_STREQ(StageName(Stage::kWalAppend), "wal_append");
   EXPECT_STREQ(StageName(Stage::kDeltaReduce), "delta_reduce");
   EXPECT_STREQ(StageName(Stage::kDeltaEval), "delta_eval");
-  EXPECT_STREQ(StageName(Stage::kRegroup), "regroup");
   EXPECT_STREQ(StageName(Stage::kReplicaApply), "replica_apply");
   EXPECT_STREQ(StageName(Stage::kSqlExecute), "sql_execute");
   // Every stage has a distinct, non-empty name (the Prometheus label).
@@ -105,11 +104,11 @@ TEST_F(TraceTest, CollectorSpansFeedAggregatesToo) {
   Collector collector;
   {
     ScopedCollector install(&collector);
-    Span span(Stage::kDecodeModel);
+    Span span(Stage::kQueryModel);
   }
   collector.Finish();
   const auto agg = AggregatedStages();
-  EXPECT_EQ(agg[static_cast<size_t>(Stage::kDecodeModel)].count, 1u);
+  EXPECT_EQ(agg[static_cast<size_t>(Stage::kQueryModel)].count, 1u);
 }
 
 TEST_F(TraceTest, AddLeafAttachesPreMeasuredSpans) {

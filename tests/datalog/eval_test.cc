@@ -178,6 +178,18 @@ TEST(EvalTest, QueryAnswersAreDeduplicatedAndSorted) {
   EXPECT_EQ(answers.size(), 2u);
 }
 
+TEST(EvalTest, QueryAnswersAreOrderedByTheirRendering) {
+  // One rendering per answer orders and deduplicates: "{X=ab}" sorts
+  // before its prefix "{X=a}" because 'b' < '}', exactly as comparing
+  // the two renderings does.
+  Result<Model> m = EvalSource("p(b). p(a). p(ab). q(a, 1). q(ab, 1).");
+  ASSERT_TRUE(m.ok());
+  EXPECT_EQ(Answers(*m, "p(X)"),
+            (std::vector<std::string>{"{X=ab}", "{X=a}", "{X=b}"}));
+  EXPECT_EQ(Answers(*m, "q(X, N)"),
+            (std::vector<std::string>{"{N=1, X=ab}", "{N=1, X=a}"}));
+}
+
 TEST(EvalTest, EmptyProgram) {
   Result<Model> m = EvalSource("");
   ASSERT_TRUE(m.ok());

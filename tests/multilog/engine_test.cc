@@ -182,5 +182,53 @@ TEST(EngineMissionTest, BelievedCellsMatchBetaCautious) {
   }
 }
 
+// The engine keeps one model per cached level: the (here
+// level-specialized) fixpoint queries are served from. The model_facts
+// gauge sums the cached models' sizes, so caching a level raises it by
+// exactly that model's fact count - one copy, not an encoded and a
+// decoded one.
+TEST(EngineModelFactsTest, CachingALevelAddsExactlyItsOneFixpoint) {
+  constexpr char kSource[] = R"(
+    level(u). level(c). level(s). order(u, c). order(c, s).
+    u[p(k : a -u-> v)].
+    c[p(k : a -c-> w)].
+    s[p(k : b -u-> yes)] :- u[p(k : a -u-> v)] << cau.
+  )";
+  Result<Engine> engine = Engine::FromSource(kSource);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  Result<const ReducedProgram*> rp = engine->Reduced("s");
+  ASSERT_TRUE(rp.ok()) << rp.status();
+  ASSERT_TRUE((*rp)->specialized);
+  EXPECT_EQ(engine->Counters().model_facts, 0u);
+
+  Result<const datalog::Model*> s = engine->ReducedModel("s");
+  ASSERT_TRUE(s.ok()) << s.status();
+  ASSERT_GT((*s)->size(), 0u);
+  EXPECT_EQ(engine->Counters().model_facts, (*s)->size());
+  Result<const datalog::Model*> u = engine->ReducedModel("u");
+  ASSERT_TRUE(u.ok()) << u.status();
+  EXPECT_EQ(engine->Counters().model_facts, (*s)->size() + (*u)->size());
+  EXPECT_EQ(engine->Counters().live_models, 2u);
+
+  // Queries match against the cached fixpoint and add nothing.
+  Result<QueryResult> r =
+      engine->QuerySource("?- s[p(k : a -C-> V, b -D-> W)] << cau.", "s");
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(AnswerStrings(*r),
+            std::vector<std::string>{"{C=c, D=u, V=w, W=yes}"});
+  EXPECT_EQ(engine->Counters().model_facts, (*s)->size() + (*u)->size());
+
+  // The served model is the encoded one; DecodeModel gives back the
+  // generic atoms, one for one.
+  EXPECT_TRUE((*s)->FactsFor("bel/7").empty());
+  EXPECT_FALSE((*s)->FactsFor("bel__s/6").empty());
+  const datalog::Model decoded = DecodeModel(**s);
+  EXPECT_EQ(decoded.size(), (*s)->size());
+  EXPECT_EQ(decoded.FactsFor("bel/7").size(),
+            (*s)->FactsFor("bel__u/6").size() +
+                (*s)->FactsFor("bel__c/6").size() +
+                (*s)->FactsFor("bel__s/6").size());
+}
+
 }  // namespace
 }  // namespace multilog::ml

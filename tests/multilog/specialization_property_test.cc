@@ -49,12 +49,13 @@ std::string ModelText(const std::string& src,
   if (!engine.ok()) return "engine: " + engine.status().ToString();
   Result<const datalog::Model*> model = engine->ReducedModel(level);
   if (!model.ok()) return "model: " + model.status().ToString();
+  const datalog::Model decoded = DecodeModel(**model);
   // Compare only rel/bel (vis/overridden differ structurally: the
   // specialized program prunes statically false dominance combinations).
   std::string out;
   for (const char* pred : {"rel/6", "bel/7"}) {
     std::vector<std::string> lines;
-    for (const datalog::Atom& fact : (*model)->FactsFor(pred)) {
+    for (const datalog::Atom& fact : decoded.FactsFor(pred)) {
       lines.push_back(fact.ToString());
     }
     std::sort(lines.begin(), lines.end());

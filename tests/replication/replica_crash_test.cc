@@ -9,9 +9,11 @@
 // path, and driving it directly makes the corpus deterministic.
 
 #include <gtest/gtest.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
+#include <cerrno>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -41,15 +43,28 @@ order(b, ts).
 u[item(base : id -u-> base, val -u-> seed)].
 )";
 
-int g_dir_counter = 0;
+/// The data dirs the running test made. Each is a new mkdtemp
+/// directory - never an earlier run's, even when a later test process
+/// gets a reused pid - and the fixture removes them all when the test
+/// ends.
+std::vector<std::string> g_dirs;
 
 std::string FreshDir(const std::string& tag) {
-  const std::string dir = ::testing::TempDir() + "/replcrash_" + tag + "_" +
-                          std::to_string(::getpid()) + "_" +
-                          std::to_string(g_dir_counter++);
-  ::mkdir(dir.c_str(), 0755);
+  std::string dir = ::testing::TempDir() + "/replcrash_" + tag + "_XXXXXX";
+  if (::mkdtemp(dir.data()) == nullptr) {
+    ADD_FAILURE() << "mkdtemp " << dir << ": " << std::strerror(errno);
+  }
+  g_dirs.push_back(dir);
   return dir;
 }
+
+class ReplicaCrashTest : public ::testing::Test {
+ protected:
+  void TearDown() override {
+    for (const std::string& dir : g_dirs) std::filesystem::remove_all(dir);
+    g_dirs.clear();
+  }
+};
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -128,7 +143,7 @@ std::string ClearanceDumps(ml::Engine* engine) {
 ///  3. re-applying the missing records through ApplyReplicated lands
 ///     the replica byte-identical to the primary (full dump AND
 ///     per-clearance query results).
-TEST(ReplicaCrashTest, TruncationSweepResumesFromPersistedSeqno) {
+TEST_F(ReplicaCrashTest, TruncationSweepResumesFromPersistedSeqno) {
   const std::vector<WalRecord> history = PrimaryHistory();
 
   // The primary's reference states: dumps[k] after the first k records.
@@ -196,7 +211,7 @@ TEST(ReplicaCrashTest, TruncationSweepResumesFromPersistedSeqno) {
 /// The snapshot-then-tail handoff can replay the boundary record, and a
 /// primary re-shipping from a stale cursor can replay many. Every
 /// duplicate must be a no-op - same final bytes, same seqno.
-TEST(ReplicaCrashTest, DuplicateRecordsAreIdempotentNoOps) {
+TEST_F(ReplicaCrashTest, DuplicateRecordsAreIdempotentNoOps) {
   const std::vector<WalRecord> history = PrimaryHistory();
   const std::string dir = FreshDir("dup");
   std::string want;
@@ -238,7 +253,7 @@ TEST(ReplicaCrashTest, DuplicateRecordsAreIdempotentNoOps) {
 /// A record whose seqno skips ahead (the stream lost a frame) must be
 /// refused, not applied - gaps are divergence, and the replicator's
 /// answer to divergence is a snapshot resync, never a silent skip.
-TEST(ReplicaCrashTest, SeqnoGapIsRefused) {
+TEST_F(ReplicaCrashTest, SeqnoGapIsRefused) {
   const std::vector<WalRecord> history = PrimaryHistory();
   const std::string dir = FreshDir("gap");
   Result<Storage> st = Storage::Open(dir, kBaseSource);
@@ -261,7 +276,7 @@ TEST(ReplicaCrashTest, SeqnoGapIsRefused) {
 /// InstallSnapshot is the resync path: it must replace the database,
 /// move the cursor, and persist - a reopen recovers the snapshot state
 /// without the pre-snapshot records.
-TEST(ReplicaCrashTest, InstallSnapshotPersistsAcrossRestart) {
+TEST_F(ReplicaCrashTest, InstallSnapshotPersistsAcrossRestart) {
   const std::vector<WalRecord> history = PrimaryHistory();
 
   // The primary's state at seqno 4 is what the snapshot ships.

@@ -7,10 +7,12 @@
 // catch-up, checkpoint resets, and reconnects.
 
 #include <gtest/gtest.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
@@ -38,15 +40,28 @@ order(b, ts).
 u[item(base : id -u-> base, val -u-> seed)].
 )";
 
-int g_dir_counter = 0;
+/// The data dirs the running test made. Each is a new mkdtemp
+/// directory - never an earlier run's, even when a later test process
+/// gets a reused pid - and the fixture removes them all when the test
+/// ends.
+std::vector<std::string> g_dirs;
 
 std::string FreshDir(const std::string& tag) {
-  const std::string dir = ::testing::TempDir() + "/repl_" + tag + "_" +
-                          std::to_string(::getpid()) + "_" +
-                          std::to_string(g_dir_counter++);
-  ::mkdir(dir.c_str(), 0755);
+  std::string dir = ::testing::TempDir() + "/repl_" + tag + "_XXXXXX";
+  if (::mkdtemp(dir.data()) == nullptr) {
+    ADD_FAILURE() << "mkdtemp " << dir << ": " << std::strerror(errno);
+  }
+  g_dirs.push_back(dir);
   return dir;
 }
+
+class ReplicationTest : public ::testing::Test {
+ protected:
+  void TearDown() override {
+    for (const std::string& dir : g_dirs) std::filesystem::remove_all(dir);
+    g_dirs.clear();
+  }
+};
 
 std::string Fact(int i, const std::string& level) {
   return level + "[item(k" + std::to_string(i) + " : id -" + level + "-> k" +
@@ -150,7 +165,7 @@ struct Replica {
   }
 };
 
-TEST(ReplicationTest, LiveTailShipsWritesAndStateIsByteIdentical) {
+TEST_F(ReplicationTest, LiveTailShipsWritesAndStateIsByteIdentical) {
   std::unique_ptr<Primary> primary = Primary::Start(FreshDir("tail_p"));
   ASSERT_NE(primary, nullptr);
   std::unique_ptr<Replica> replica =
@@ -199,7 +214,7 @@ TEST(ReplicationTest, LiveTailShipsWritesAndStateIsByteIdentical) {
   replica->Stop();
 }
 
-TEST(ReplicationTest, SnapshotCatchUpAfterPrimaryCheckpoint) {
+TEST_F(ReplicationTest, SnapshotCatchUpAfterPrimaryCheckpoint) {
   std::unique_ptr<Primary> primary = Primary::Start(FreshDir("snap_p"));
   ASSERT_NE(primary, nullptr);
   uint64_t last = 0;
@@ -228,7 +243,7 @@ TEST(ReplicationTest, SnapshotCatchUpAfterPrimaryCheckpoint) {
   replica->Stop();
 }
 
-TEST(ReplicationTest, CheckpointMidStreamResetsTheTailWithoutDivergence) {
+TEST_F(ReplicationTest, CheckpointMidStreamResetsTheTailWithoutDivergence) {
   std::unique_ptr<Primary> primary = Primary::Start(FreshDir("reset_p"));
   ASSERT_NE(primary, nullptr);
   std::unique_ptr<Replica> replica =
@@ -250,7 +265,7 @@ TEST(ReplicationTest, CheckpointMidStreamResetsTheTailWithoutDivergence) {
   replica->Stop();
 }
 
-TEST(ReplicationTest, ReplicaRestartResumesFromPersistedSeqno) {
+TEST_F(ReplicationTest, ReplicaRestartResumesFromPersistedSeqno) {
   std::unique_ptr<Primary> primary = Primary::Start(FreshDir("resume_p"));
   ASSERT_NE(primary, nullptr);
   const std::string replica_dir = FreshDir("resume_r");
@@ -283,7 +298,7 @@ TEST(ReplicationTest, ReplicaRestartResumesFromPersistedSeqno) {
   replica->Stop();
 }
 
-TEST(ReplicationTest, ReplicaReconnectsAfterPrimaryRestart) {
+TEST_F(ReplicationTest, ReplicaReconnectsAfterPrimaryRestart) {
   const std::string primary_dir = FreshDir("bounce_p");
   std::unique_ptr<Primary> primary = Primary::Start(primary_dir);
   ASSERT_NE(primary, nullptr);
@@ -313,7 +328,7 @@ TEST(ReplicationTest, ReplicaReconnectsAfterPrimaryRestart) {
   replica->Stop();
 }
 
-TEST(ReplicationTest, ReadOnlyReplicaServerRejectsWritesServesReads) {
+TEST_F(ReplicationTest, ReadOnlyReplicaServerRejectsWritesServesReads) {
   std::unique_ptr<Primary> primary = Primary::Start(FreshDir("ro_p"));
   ASSERT_NE(primary, nullptr);
   std::unique_ptr<Replica> replica =
@@ -362,7 +377,7 @@ TEST(ReplicationTest, ReadOnlyReplicaServerRejectsWritesServesReads) {
   replica->Stop();
 }
 
-TEST(ReplicationTest, MinSeqnoQueryWaitsForCatchUpOrFailsFast) {
+TEST_F(ReplicationTest, MinSeqnoQueryWaitsForCatchUpOrFailsFast) {
   std::unique_ptr<Primary> primary = Primary::Start(FreshDir("minseq_p"));
   ASSERT_NE(primary, nullptr);
   std::unique_ptr<Replica> replica =
@@ -403,7 +418,7 @@ TEST(ReplicationTest, MinSeqnoQueryWaitsForCatchUpOrFailsFast) {
   replica->Stop();
 }
 
-TEST(ReplicationTest, InMemoryPrimaryRefusesReplicationStreams) {
+TEST_F(ReplicationTest, InMemoryPrimaryRefusesReplicationStreams) {
   Result<ml::Engine> engine = ml::Engine::FromSource(kBaseSource);
   ASSERT_TRUE(engine.ok()) << engine.status();
   server::ServerOptions options;
@@ -424,7 +439,7 @@ TEST(ReplicationTest, InMemoryPrimaryRefusesReplicationStreams) {
   srv.Stop();
 }
 
-TEST(ReplicationTest, TwoReplicasConvergeIndependently) {
+TEST_F(ReplicationTest, TwoReplicasConvergeIndependently) {
   std::unique_ptr<Primary> primary = Primary::Start(FreshDir("two_p"));
   ASSERT_NE(primary, nullptr);
   std::unique_ptr<Replica> r1 =

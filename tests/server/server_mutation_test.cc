@@ -169,6 +169,7 @@ TEST_F(DurableServerTest, WriteResponsesAndStatsSurfaceDeltaMaintenance) {
   EXPECT_GE(engine->GetInt("deltas_applied"), 1);
   EXPECT_EQ(engine->GetInt("fallback_recomputes"), 0);
   EXPECT_GE(engine->GetInt("live_models"), 1);
+  EXPECT_GE(engine->GetInt("model_facts"), 1);
 
   Result<std::string> metrics = client.Metrics();
   ASSERT_TRUE(metrics.ok()) << metrics.status();
@@ -177,6 +178,7 @@ TEST_F(DurableServerTest, WriteResponsesAndStatsSurfaceDeltaMaintenance) {
   EXPECT_NE(metrics->find("multilog_engine_fallback_recomputes_total"),
             std::string::npos);
   EXPECT_NE(metrics->find("multilog_engine_live_models"), std::string::npos);
+  EXPECT_NE(metrics->find("multilog_engine_model_facts"), std::string::npos);
 }
 
 TEST_F(DurableServerTest, RejectedWritesKeepTheConnectionAndTheGolden) {
